@@ -19,6 +19,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .core import (
     TWO_PI,
     DEFAULT_N0_FRACTION,
@@ -87,7 +88,7 @@ def _guarded(body):
 
 
 @click.group()
-@click.version_option(package_name="chaos01")
+@click.version_option(version=__version__)
 def main():
     """Detect chaos in scalar time series with a 0-1 style growth-rate test."""
 

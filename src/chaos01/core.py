@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     AllDegenerateError,
@@ -233,12 +232,18 @@ def translation_variables(series: TimeSeries, c: float) -> TranslationTrajectory
     """
     if not 0.0 < c < TWO_PI:
         raise InvalidParameterError("c must lie strictly inside (0, 2*pi)")
-    s = series.samples
-    j = np.arange(1, s.size + 1, dtype=float)
-    phase = j * c
-    p = np.cumsum(s * np.cos(phase))
-    q = np.cumsum(s * np.sin(phase))
-    return TranslationTrajectory(c=c, p=p, q=q)
+    z = np.cumsum(_steps(series.samples, np.array([c]))[0])
+    return TranslationTrajectory(c=c, p=z.real.copy(), q=z.imag.copy())
+
+
+def _steps(samples: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    # One row per angle: s(j) e^{ijc}, whose running sum is the path p + iq.
+    phase = angles[:, None] * np.arange(1, samples.size + 1, dtype=float)
+    steps = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=steps.real)
+    np.sin(phase, out=steps.imag)
+    steps *= samples
+    return steps
 
 
 def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
@@ -254,59 +259,66 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
     n_len = len(traj)
     if not 1 <= n0 < n_len:
         raise InvalidParameterError("n0 must satisfy 1 <= n0 < len(trajectory)")
-    return MsdCurve(c=traj.c, values=_msd_values(traj.p, traj.q, n0))
+    steps = np.diff([traj.p + 1j * traj.q], prepend=0.0)
+    return MsdCurve(c=traj.c, values=_msd_rows(steps, n0)[0])
 
 
-#: Above this many displacement terms the FFT-based evaluation wins.
-_SPECTRAL_MSD_THRESHOLD = 200_000
+#: Rows times FFT length per chunk of angles (one row at 100k samples).
+_CHUNK_ELEMENTS = 1 << 17
 
 
-def _msd_values(p: np.ndarray, q: np.ndarray, n0: int) -> np.ndarray:
-    n_len = p.size
-    if n0 * n_len > _SPECTRAL_MSD_THRESHOLD:
-        return _msd_values_spectral(p, q, n0)
-    out = np.empty(n0, dtype=float)
-    for n in range(1, n0 + 1):
-        dp = p[n:] - p[: n_len - n]
-        dq = q[n:] - q[: n_len - n]
-        out[n - 1] = (dp @ dp + dq @ dq) / n_len
-    return out
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least ``n``."""
+    bits = range(n.bit_length() + 1)
+    odd = [3**a * 5**b for a in bits for b in bits if 3**a * 5**b < 2 * n]
+    return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
-def _sq_displacement_sums(x: np.ndarray, n0: int) -> np.ndarray:
-    # sum_j (x[j+n]-x[j])^2 expanded into square sums minus twice the linear
-    # autocorrelation, which an FFT yields for every lag at once
-    n_len = x.size
-    csq = np.concatenate(([0.0], np.cumsum(x * x)))
-    n = np.arange(1, n0 + 1)
-    head = csq[n_len] - csq[n]
-    tail = csq[n_len - n]
-    size = 1
-    while size < 2 * n_len:
-        size *= 2
-    spectrum = np.fft.rfft(x, size)
-    acf = np.fft.irfft(spectrum * np.conj(spectrum), size)[1:n0 + 1]
-    out = head + tail - 2.0 * acf
-    # The expansion cancels catastrophically only when the true sum is zero
-    # relative to the energy scale; snap that rounding dust to exact zero so
-    # flat trajectories stay flat, and clamp the tiny negatives it causes.
-    scale = head + tail
-    out[np.abs(out) <= 1e-12 * scale] = 0.0
-    return np.maximum(out, 0.0, out=out)
+def _msd_rows(steps: np.ndarray, n0: int) -> np.ndarray:
+    """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
+    steps are each row.  As ``|dz|^2 = dp^2 + dq^2``, the sum at lag ``n`` is
+    two tails of ``sum |z|^2`` less twice the real autocorrelation, which one
+    complex FFT pair padded to ``N + n0`` (no lag wraps) gives for all lags."""
+    n_len = steps.shape[1]
+    lags = np.arange(1, n0 + 1, dtype=float)
+    # Build y from the steps less their mean `drift` (the first step never
+    # shows in a displacement), or a drifting path (a resonant angle) leaves
+    # short lags as differences of sums growing like N^3.  The last two terms
+    # of `out` put the drift back in closed form.
+    drift = steps[:, 1:].mean(axis=1, keepdims=True)
+    y = steps - drift
+    y[:, 0] = 0.0
+    np.cumsum(y, axis=1, out=y)
+    energy = np.cumsum(y.real * y.real + y.imag * y.imag, axis=1)
+    level = np.cumsum(y, axis=1)
+    head = energy[:, -1:] - energy[:, :n0]
+    tail = energy[:, n_len - n0 - 1:n_len - 1][:, ::-1]
+    shift = level[:, -1:] - level[:, :n0] - level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
+    spectrum = np.fft.fft(y, _fast_len(n_len + n0), axis=1)
+    acf = np.fft.ifft(spectrum.real**2 + spectrum.imag**2, axis=1)[:, 1:n0 + 1].real
+    ramp = (n_len - lags) * lags**2 * (drift.real**2 + drift.imag**2)
+    out = head + tail - 2.0 * acf + 2.0 * lags * (drift.conj() * shift).real + ramp
+    # Snap rounding dust (relative to the energy scale) to exact zero so flat
+    # trajectories stay flat, and clamp the negatives it causes; a curve whose
+    # whole range is dust is made flat, or its growth rate fits the rounding.
+    dust = 1e-12 * (head + tail + ramp)
+    out[np.abs(out) <= dust] = 0.0
+    np.maximum(out, 0.0, out=out)
+    flat = np.ptp(out, axis=1) <= dust.max(axis=1)
+    out[flat] = out[flat, :1]
+    return out / n_len
 
 
-def _msd_values_spectral(p: np.ndarray, q: np.ndarray, n0: int) -> np.ndarray:
-    return (_sq_displacement_sums(p, n0) + _sq_displacement_sums(q, n0)) / p.size
-
-
-def oscillation_correction(c: float, n0: int, series_mean: float) -> np.ndarray:
+def oscillation_correction(c, n0: int, series_mean: float) -> np.ndarray:
     """Closed-form bounded term that the series mean adds to the MSD.
 
     Subtracting this from the plain curve yields the corrected variant; the
-    result may be negative, which the growth-rate estimators tolerate.
+    result may be negative, which the growth-rate estimators tolerate.  An
+    array of frequencies ``c`` gives one row per frequency.
     """
+    c = np.asarray(c, dtype=float)[..., None]
     n = np.arange(1, n0 + 1, dtype=float)
-    return series_mean**2 * (1.0 - np.cos(n * c)) / (1.0 - math.cos(c))
+    return series_mean**2 * (1.0 - np.cos(n * c)) / (1.0 - np.cos(c))
 
 
 def growth_rate_regression(curve: MsdCurve) -> GrowthRate:
@@ -315,10 +327,7 @@ def growth_rate_regression(curve: MsdCurve) -> GrowthRate:
     Non-positive values of ``M`` have no logarithm and are skipped; when
     fewer than two usable points remain the result is degenerate.
     """
-    k = _regression_k(curve.values)
-    if k is None:
-        return GrowthRate(c=curve.c, k=0.0, method=Method.REGRESSION, degenerate=True)
-    return GrowthRate(c=curve.c, k=k, method=Method.REGRESSION)
+    return _growth_rates([curve.values], [curve.c], Method.REGRESSION)[0]
 
 
 def growth_rate_correlation(curve: MsdCurve) -> GrowthRate:
@@ -328,42 +337,34 @@ def growth_rate_correlation(curve: MsdCurve) -> GrowthRate:
     individual runaway fits.  A flat curve has no defined correlation and
     yields a degenerate result.
     """
-    k = _correlation_k(curve.values)
-    if k is None:
-        return GrowthRate(c=curve.c, k=0.0, method=Method.CORRELATION, degenerate=True)
-    return GrowthRate(c=curve.c, k=k, method=Method.CORRELATION)
+    return _growth_rates([curve.values], [curve.c], Method.CORRELATION)[0]
 
 
-def _regression_k(values: np.ndarray) -> float | None:
-    if np.ptp(values) == 0.0:
-        # Flat curve: the slope would be defined (zero) but carries no
-        # growth information, so it is reported as degenerate instead.
-        return None
-    mask = values > 0.0
-    if np.count_nonzero(mask) < 2:
-        return None
-    n = np.arange(1, values.size + 1, dtype=float)
-    slope, _ = np.polyfit(np.log(n[mask]), np.log(values[mask]), 1)
-    return float(slope)
-
-
-def _correlation_k(values: np.ndarray) -> float | None:
-    if values.size < 2 or np.ptp(values) == 0.0:
-        return None
-    n = np.arange(1, values.size + 1, dtype=float)
+def _growth_rates(values: np.ndarray, angles, method: Method) -> list[GrowthRate]:
+    """One growth rate per row of ``values``, the curve at the matching angle."""
+    values = np.asarray(values, dtype=float)
+    n = np.arange(1, values.shape[1] + 1, dtype=float)
+    degenerate = np.ptp(values, axis=1) == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.corrcoef(n, values)[0, 1]
-    if not np.isfinite(r):
-        # Curves whose variance underflows to zero carry no usable signal.
-        return None
-    # Guard against rounding pushing the coefficient past the unit bound.
-    return float(np.clip(r, -1.0, 1.0))
-
-
-_GROWTH_FUNCS = {
-    Method.REGRESSION: _regression_k,
-    Method.CORRELATION: _correlation_k,
-}
+        if method is Method.REGRESSION:
+            # least-squares line through the points that have a logarithm
+            weight = (values > 0.0).astype(float)
+            x = np.log(n)
+            dx = x - (weight * x).sum(axis=1, keepdims=True) / weight.sum(axis=1, keepdims=True)
+            y = np.log(np.where(weight > 0.0, values, 1.0))
+            k = (weight * dx * y).sum(axis=1) / (weight * dx * dx).sum(axis=1)
+            degenerate |= weight.sum(axis=1) < 2
+        else:
+            dx = n - n.mean()
+            dy = values - values.mean(axis=1, keepdims=True)
+            k = (dy * dx).sum(axis=1) / np.sqrt((dx * dx).sum() * (dy * dy).sum(axis=1))
+            # Guard against rounding pushing the coefficient past the unit bound.
+            k = np.clip(k, -1.0, 1.0)
+    # A statistic that is not finite (a variance that underflows) is no rate.
+    degenerate |= ~np.isfinite(k)
+    return [GrowthRate(c=float(c), k=0.0 if flat else float(rate), method=method,
+                       degenerate=bool(flat))
+            for c, rate, flat in zip(angles, k, degenerate)]
 
 
 def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Aggregator,
@@ -383,7 +384,10 @@ def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Ag
         return float(np.mean(usable))
     if aggregator is Aggregator.MEDIAN:
         return float(np.median(usable))
-    return float(stats.trim_mean(usable, trim_fraction))
+    # The algorithm of scipy.stats.trim_mean: drop int(p*n) values from each end.
+    cut = int(trim_fraction * usable.size)
+    kept = np.partition(usable, (cut, usable.size - cut - 1))[cut:usable.size - cut]
+    return float(np.mean(kept))
 
 
 def classify(k_m: float, bands: ClassificationBands | None = None) -> Regime:
@@ -409,14 +413,12 @@ def _draw_frequencies(config: TestConfig) -> list[float]:
     # PCG64 is stable across platforms and versions, so a seed pins the
     # exact frequency draw everywhere.
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    low = max(config.c_low, 0.0)
-    high = min(config.c_high, TWO_PI)
     draws: list[float] = []
     while len(draws) < config.num_c:
-        c = rng.uniform(low, high)
+        c = rng.uniform(config.c_low, config.c_high)
         # Endpoints are measure-zero but would break the rotating frame;
         # redraw rather than clamp so the distribution stays uniform.
-        if 0.0 < c < TWO_PI and config.c_low < c < config.c_high:
+        if config.c_low < c < config.c_high:
             draws.append(float(c))
     return draws
 
@@ -444,19 +446,15 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
             f"need more than {n0} samples for the configured lag window, got {n_len}"
         )
 
-    growth = _GROWTH_FUNCS[config.method]
-    mean = float(np.mean(series.samples))
+    angles = np.array(_draw_frequencies(config))
+    rows = max(1, _CHUNK_ELEMENTS // _fast_len(n_len + n0))
     rates: list[GrowthRate] = []
-    for c in _draw_frequencies(config):
-        traj = translation_variables(series, c)
-        values = _msd_values(traj.p, traj.q, n0)
+    for start in range(0, angles.size, rows):
+        chunk = angles[start:start + rows]
+        values = _msd_rows(_steps(series.samples, chunk), n0)
         if config.msd_variant is MsdVariant.CORRECTED:
-            values = values - oscillation_correction(c, n0, mean)
-        k = growth(values)
-        if k is None:
-            rates.append(GrowthRate(c=c, k=0.0, method=config.method, degenerate=True))
-        else:
-            rates.append(GrowthRate(c=c, k=k, method=config.method))
+            values -= oscillation_correction(chunk, n0, float(np.mean(series.samples)))
+        rates += _growth_rates(values, chunk, config.method)
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

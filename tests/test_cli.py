@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +369,26 @@ def test_help_documents_flags(runner):
 def test_unknown_command_exits_2(runner):
     result = runner.invoke(main, ["transmogrify"])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# running from a source tree
+
+
+def _source_tree_python(code_args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *code_args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_version_from_source_tree():
+    proc = _source_tree_python(["-m", "chaos01.cli", "--version"])
+    assert proc.returncode == 0, proc.stderr
+    assert "0.1.0" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs about a second of every CLI start
+    proc = _source_tree_python(["-c", "import sys, chaos01.cli; print('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

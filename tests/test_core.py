@@ -2,13 +2,15 @@
 aggregation, classification, and the run_test driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
+from chaos01 import core
 
 # ---------------------------------------------------------------------------
 # oracles: independent re-summation, written against the defining sums rather
@@ -165,9 +167,9 @@ def _direct_msd(p, q, n0):
 
 
 def test_msd_fast_path_matches_direct_evaluation_at_scale():
-    """Large curves take an FFT-based route; it must agree with the plain
-    per-lag differences everywhere, including on resonantly drifting paths
-    where the rearrangement cancels hardest."""
+    """The FFT kernel must agree with the plain per-lag differences
+    everywhere, including on resonantly drifting paths where the
+    rearrangement cancels hardest."""
     cases = [
         (c.gen_sawtooth(), 2.0 * math.pi / 50.0),
         (c.gen_sawtooth(), 2.5),
@@ -180,6 +182,32 @@ def test_msd_fast_path_matches_direct_evaluation_at_scale():
         want = _direct_msd(traj.p, traj.q, 1400)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want.max()), angle
         assert (got >= 0.0).all()
+
+
+def test_msd_kernel_matches_direct_evaluation_on_short_windows():
+    # 800 samples: the size of a short screening window
+    series = c.gen_quasiperiodic(5000.0, 800)
+    n0 = c.lag_window(800, c.DEFAULT_N0_FRACTION)
+    for angle in (0.3, 2.0 * math.pi / 50.0, 2.5, 5.9):
+        traj = c.translation_variables(series, angle)
+        got = c.msd(traj, n0).values
+        want = _direct_msd(traj.p, traj.q, n0)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * want.max()), angle
+
+
+def test_msd_kernel_keeps_short_lags_at_a_million_samples():
+    # At the resonant angle the path drifts linearly, so sums of |z|^2 grow
+    # like N^3 while the short-lag displacement sums stay O(N).  Each checked
+    # lag costs one O(N) direct sum.
+    series = c.gen_sawtooth(100.0, 5000.0, 10**6)
+    traj = c.translation_variables(series, 2.0 * math.pi / 50.0)
+    n0 = c.lag_window(len(series), c.DEFAULT_N0_FRACTION)
+    got = c.msd(traj, n0).values
+    for lag in (1, 10, 1000, n0):
+        dp = traj.p[lag:] - traj.p[:-lag]
+        dq = traj.q[lag:] - traj.q[:-lag]
+        want = (math.fsum(dp * dp) + math.fsum(dq * dq)) / len(series)
+        assert got[lag - 1] == pytest.approx(want, rel=1e-9), lag
 
 
 def test_msd_fast_path_keeps_flat_trajectory_flat():
@@ -260,6 +288,9 @@ def test_correlation_is_bounded(values):
 @given(samples=finite_samples, angle=angles,
        alpha=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=40, deadline=None)
+# flat curves, and one whose variation is below the kernel's rounding floor
+@example(samples=[0.0, 0.0, 0.0, 1.0], angle=1.0, alpha=15.0)
+@example(samples=[0.0, 0.0, 1e-12, 1.0], angle=1.0, alpha=3.0)
 def test_growth_rate_is_scale_invariant(samples, angle, alpha):
     if len(samples) < 4:
         samples = samples + [1.0, -2.0, 3.0, 4.0]
@@ -388,14 +419,19 @@ def test_lag_window_floor_and_minimum():
 
 
 def test_run_test_is_deterministic():
-    series = c.gen_uniform_random(1200, seed=5)
-    config = c.TestConfig(num_c=25, seed=11)
-    first = c.run_test(series, config)
-    second = c.run_test(series, config)
-    assert first.k_m == second.k_m
-    assert [r.c for r in first.per_c] == [r.c for r in second.per_c]
-    assert [r.k for r in first.per_c] == [r.k for r in second.per_c]
-    assert first.label is second.label
+    # the second case spans several chunks of angles
+    cases = [
+        (c.gen_uniform_random(1200, seed=5), c.TestConfig(num_c=25, seed=11)),
+        (c.gen_henon(), c.TestConfig(num_c=50, seed=2, method="regression",
+                                     msd_variant="corrected")),
+    ]
+    for series, config in cases:
+        first = c.run_test(series, config)
+        second = c.run_test(series, config)
+        assert first.k_m == second.k_m
+        assert [r.c for r in first.per_c] == [r.c for r in second.per_c]
+        assert [r.k for r in first.per_c] == [r.k for r in second.per_c]
+        assert first.label is second.label
 
 
 def test_run_test_draws_respect_frequency_range():
@@ -494,3 +530,59 @@ def test_result_k_m_matches_recomputed_aggregate():
     series = c.gen_uniform_random(700, seed=8)
     result = c.run_test(series, c.TestConfig(num_c=20))
     assert c.recompute_k_m(result) == pytest.approx(result.k_m, abs=1e-12)
+
+
+def _per_angle_rates(series, config):
+    # run_test spelled out one angle at a time through the public stages
+    n0 = c.lag_window(len(series), config.n0_fraction)
+    mean = float(np.mean(series.samples))
+    growth = {c.Method.CORRELATION: c.growth_rate_correlation,
+              c.Method.REGRESSION: c.growth_rate_regression}[config.method]
+    rates = []
+    for reported in c.run_test(series, config).per_c:
+        values = c.msd(c.translation_variables(series, reported.c), n0).values
+        if config.msd_variant is c.MsdVariant.CORRECTED:
+            values = values - c.oscillation_correction(reported.c, n0, mean)
+        rates.append(growth(c.MsdCurve(c=reported.c, values=values)))
+    return rates
+
+
+@pytest.mark.parametrize("method", list(c.Method))
+@pytest.mark.parametrize("variant", list(c.MsdVariant))
+def test_run_test_matches_per_angle_stages(method, variant):
+    series = c.TimeSeries(c.gen_sine(100.0, 5000.0, 2000).samples + 0.3)
+    config = c.TestConfig(num_c=30, seed=6, method=method, msd_variant=variant)
+    result = c.run_test(series, config)
+    reference = _per_angle_rates(series, config)
+    assert [r.degenerate for r in result.per_c] == [r.degenerate for r in reference]
+    assert np.allclose([r.k for r in result.per_c], [r.k for r in reference], rtol=0, atol=1e-12)
+
+
+def test_run_test_chunking_does_not_move_results(monkeypatch):
+    series = c.gen_henon()
+    config = c.TestConfig(num_c=50, seed=3)
+    # one row per chunk, the default (20 rows at N = 5000), all rows at once
+    results = []
+    for budget in (1, core._CHUNK_ELEMENTS, 1 << 30):
+        monkeypatch.setattr(core, "_CHUNK_ELEMENTS", budget)
+        results.append(c.run_test(series, config))
+    reference = results[-1]
+    assert len(reference.per_c) == 50
+    for result in results[:-1]:
+        assert [r.c for r in result.per_c] == [r.c for r in reference.per_c]
+        assert np.allclose([r.k for r in result.per_c], [r.k for r in reference.per_c],
+                           rtol=0, atol=1e-13)
+        assert result.k_m == pytest.approx(reference.k_m, abs=1e-13)
+
+
+def test_run_test_memory_stays_near_one_row():
+    # 100k samples: one angle per chunk, so the peak is a few rows' arrays,
+    # not one per angle
+    series = c.gen_quasiperiodic(5000.0, 100_000)
+    tracemalloc.start()
+    try:
+        c.run_test(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
