@@ -12,9 +12,11 @@ parameters, 3 for I/O failures, 4 for data that cannot be analyzed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
+from enum import Enum
 from pathlib import Path
 
 import click
@@ -24,21 +26,12 @@ from .core import (
     TWO_PI,
     DEFAULT_N0_FRACTION,
     Aggregator,
-    ClassificationBands,
     Method,
     TestConfig,
     run_test,
     translation_variables,
 )
-from .errors import (
-    AllDegenerateError,
-    Chaos01Error,
-    DivergenceError,
-    InvalidParameterError,
-    MissingSampleRateError,
-    SeriesFormatError,
-    SeriesTooShortError,
-)
+from .errors import Chaos01Error, DivergenceError, InvalidParameterError
 from .seriesio import (
     SeriesFile,
     SeriesFormat,
@@ -58,36 +51,54 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
 
-_DATA_ERRORS = (SeriesFormatError, MissingSampleRateError, SeriesTooShortError, AllDegenerateError)
-
 _FORMAT_CHOICE = click.Choice([f.value for f in SeriesFormat])
 
-_AGGREGATOR_ALIASES = {
-    "trimmed": Aggregator.TRIMMED_MEAN,
-    "trimmed_mean": Aggregator.TRIMMED_MEAN,
-    "mean": Aggregator.MEAN,
-    "median": Aggregator.MEDIAN,
-}
+
+class _Main(click.Group):
+    """Ends any command that raises a package error with one ``error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (InvalidParameterError, DivergenceError) as exc:
+            error, code = exc, EXIT_USAGE
+        except Chaos01Error as exc:  # the file's content cannot be analyzed
+            error, code = exc, EXIT_DATA
+        except OSError as exc:
+            error, code = exc, EXIT_IO
+        click.echo(f"error: {error}", err=True)
+        ctx.exit(code)
 
 
-def _fail(code: int, message) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _read(cls, mapping, what: str):
+    """Build ``cls`` from JSON-like settings, the one reader of flags and
+    manifests: a dataclass from an object of its fields, each read by type,
+    an enum from a value ("trimmed" names the trimmed mean).  Integers are
+    left to the dataclasses.  Bad keys, types and values raise InvalidParameterError."""
+    if isinstance(cls, type) and issubclass(cls, Enum):
+        try:
+            return cls("trimmed_mean" if cls is Aggregator and mapping == "trimmed" else mapping)
+        except ValueError:
+            raise InvalidParameterError(
+                f"{what} must be one of {[m.value for m in cls]}, got {mapping!r}") from None
+    if cls is float and (isinstance(mapping, bool) or not isinstance(mapping, (int, float))):
+        raise InvalidParameterError(f"{what} must be a number, got {mapping!r}")
+    if not dataclasses.is_dataclass(cls):
+        return mapping
+    if not isinstance(mapping, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object, got {mapping!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(mapping.keys() - {f.name for f in fields})
+    missing = [f.name for f in fields
+               if f.default is f.default_factory is dataclasses.MISSING and f.name not in mapping]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise InvalidParameterError(f"{what}: {problem} keys {keys}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _read(hints[key], item, f"{what}.{key}") for key, item in mapping.items()})
 
 
-def _guarded(body):
-    """Run a command body, translating package errors to exit codes."""
-    try:
-        return body()
-    except (InvalidParameterError, DivergenceError) as exc:
-        _fail(EXIT_USAGE, exc)
-    except _DATA_ERRORS as exc:
-        _fail(EXIT_DATA, exc)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Detect chaos in scalar time series with a 0-1 style growth-rate test."""
@@ -107,14 +118,10 @@ def main():
               help="Output path (single_column format).")
 def generate(kind, freq, fs, n, seed, out):
     """Write one reference signal to a file."""
-
-    def body():
-        spec = GeneratorSpec(kind=kind, num_samples=n, sample_rate=fs, freq=freq, seed=seed)
-        series = make_series(spec)
-        write_series(series, out)
-        click.echo(f"wrote {out}: kind={kind} N={len(series)} {_describe(spec)}")
-
-    _guarded(body)
+    spec = GeneratorSpec(kind=kind, num_samples=n, sample_rate=fs, freq=freq, seed=seed)
+    series = make_series(spec)
+    write_series(series, out)
+    click.echo(f"wrote {out}: kind={kind} N={len(series)} {_describe(spec)}")
 
 
 def _describe(spec: GeneratorSpec) -> str:
@@ -127,18 +134,6 @@ def _describe(spec: GeneratorSpec) -> str:
     if spec.kind is GeneratorKind.HENON:
         return f"a={spec.a} b={spec.b} x0={spec.x0} y0={spec.y0}"
     return f"seed={spec.seed}"
-
-
-def _build_config(seed, num_c, method, aggregator, n0_fraction, c_low, c_high) -> TestConfig:
-    return TestConfig(
-        num_c=num_c,
-        c_low=c_low,
-        c_high=c_high,
-        method=Method(method),
-        aggregator=_AGGREGATOR_ALIASES[aggregator],
-        n0_fraction=n0_fraction,
-        seed=seed,
-    )
 
 
 @main.command()
@@ -168,22 +163,19 @@ def _build_config(seed, num_c, method, aggregator, n0_fraction, c_low, c_high) -
 def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_high,
             out, scatter, trajectory, trajectory_c):
     """Run the test on one series and write result artifacts."""
-
-    def body():
-        config = _build_config(seed, num_c, method, aggregator, n0_fraction, c_low, c_high)
-        series = load_series(SeriesFile(path=input, format=fmt))
-        result = run_test(series, config)
-        base = Path(input).with_suffix("")
-        export_result(result, out or f"{base}.result.json")
-        export_scatter(result, scatter or f"{base}.kc.csv")
-        if trajectory is not None:
-            export_trajectory(translation_variables(series, trajectory_c), trajectory)
-        if result.short_series:
-            click.echo(f"note: only {len(series)} samples, treat the statistic as advisory",
-                       err=True)
-        click.echo(f"K_m={result.k_m!r} label={result.label.value}")
-
-    _guarded(body)
+    config = _read(TestConfig, {"seed": seed, "num_c": num_c, "method": method,
+                                "aggregator": aggregator, "n0_fraction": n0_fraction,
+                                "c_low": c_low, "c_high": c_high}, "options")
+    series = load_series(SeriesFile(path=input, format=fmt))
+    result = run_test(series, config)
+    base = Path(input).with_suffix("")
+    export_result(result, out or f"{base}.result.json")
+    export_scatter(result, scatter or f"{base}.kc.csv")
+    if trajectory is not None:
+        export_trajectory(translation_variables(series, trajectory_c), trajectory)
+    if result.short_series:
+        click.echo(f"note: only {len(series)} samples, treat the statistic as advisory", err=True)
+    click.echo(f"K_m={result.k_m!r} label={result.label.value}")
 
 
 @main.command("psd")
@@ -194,30 +186,11 @@ def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_h
               help="Spectrum CSV path [default: INPUT stem + .psd.csv].")
 def psd_command(input, fmt, out):
     """Write the normalized power spectrum of a series."""
-
-    def body():
-        series = load_series(SeriesFile(path=input, format=fmt))
-        estimate = compute_psd(series)
-        target = out or f"{Path(input).with_suffix('')}.psd.csv"
-        export_psd(estimate, target)
-        click.echo(f"wrote {target}: {estimate.frequencies.size} bins")
-
-    _guarded(body)
-
-
-def _manifest_config(raw: dict) -> TestConfig:
-    raw = dict(raw)
-    if "aggregator" in raw:
-        try:
-            raw["aggregator"] = _AGGREGATOR_ALIASES[raw["aggregator"]]
-        except KeyError:
-            raise InvalidParameterError(f"unknown aggregator: {raw['aggregator']!r}") from None
-    if "bands" in raw:
-        raw["bands"] = ClassificationBands(**raw["bands"])
-    try:
-        return TestConfig(**raw)
-    except TypeError as exc:
-        raise InvalidParameterError(f"bad manifest config: {exc}") from None
+    series = load_series(SeriesFile(path=input, format=fmt))
+    estimate = compute_psd(series)
+    target = out or f"{Path(input).with_suffix('')}.psd.csv"
+    export_psd(estimate, target)
+    click.echo(f"wrote {target}: {estimate.frequencies.size} bins")
 
 
 def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
@@ -259,52 +232,59 @@ def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
 def batch(manifest, out, window, stride, jobs):
     """Analyze every file in a JSON manifest and write one summary CSV.
 
-    The manifest holds {"inputs": [...paths...]} plus optional "format",
-    "config" (run_test overrides), "window" ({"window_len", "stride"}) and
-    "out" keys.  Paths are resolved relative to the manifest's directory.
-    Row order follows manifest order regardless of worker scheduling.
+    \b
+    key     type    meaning
+    inputs  [path]  series files, at least one (required)
+    format  string  "single_column" (default) or "time_value_csv"
+    config  object  TestConfig fields, as in the result JSON "config"
+    window  object  {"window_len": int, "stride": int}; default: no windows
+    out     path    summary CSV; default: MANIFEST stem + .summary.csv
+
+    "trimmed" is an alias of the aggregator "trimmed_mean".  Paths are
+    resolved relative to the manifest's directory.  Row order follows
+    manifest order regardless of worker scheduling.  An invalid manifest
+    exits 2 with one error line; a file that cannot be read or decoded
+    becomes an error row.
     """
+    if jobs < 1:
+        raise InvalidParameterError("--jobs must be at least 1")
+    manifest_path = Path(manifest)
+    try:
+        doc = json.loads(manifest_path.read_bytes())
+    except ValueError as exc:  # not JSON, or bytes that are not text
+        raise InvalidParameterError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not doc.get("inputs"):
+        raise InvalidParameterError("manifest lists no inputs")
+    unknown = sorted(doc.keys() - {"inputs", "format", "config", "window", "out"})
+    if unknown:
+        raise InvalidParameterError(f"manifest: unknown keys {unknown}")
+    names = doc["inputs"]
+    if not isinstance(names, list) or not all(
+            isinstance(p, str) and "\0" not in p for p in [*names, doc.get("out", "")]):
+        raise InvalidParameterError('manifest "inputs" must be a list of paths, and "out" a path')
 
-    def body():
-        if jobs < 1:
-            raise InvalidParameterError("--jobs must be at least 1")
-        manifest_path = Path(manifest)
-        try:
-            doc = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"manifest is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or not doc.get("inputs"):
-            _fail(EXIT_USAGE, "manifest lists no inputs")
+    base = manifest_path.parent
+    fmt = _read(SeriesFormat, doc.get("format", "single_column"), "format")
+    config = _read(TestConfig, doc.get("config", {}), "config")
+    plan = _read(WindowPlan, doc["window"], "window") if "window" in doc else None
+    if window is not None:
+        plan = WindowPlan(window_len=window, stride=stride or window)
 
-        base = manifest_path.parent
-        fmt = SeriesFormat(doc.get("format", "single_column"))
-        config = _manifest_config(doc.get("config", {}))
-        plan = None
-        manifest_window = doc.get("window")
-        if window is not None:
-            plan = WindowPlan(window_len=window, stride=stride or window)
-        elif manifest_window:
-            plan = WindowPlan(**manifest_window)
+    with ThreadPoolExecutor(max_workers=min(jobs, len(names))) as pool:
+        per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))
 
-        inputs = [base / p for p in doc["inputs"]]
-        workers = min(jobs, len(inputs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_file = list(pool.map(lambda p: _batch_one(p, fmt, plan, config), inputs))
+    target = out or (base / doc["out"] if "out" in doc
+                     else f"{manifest_path.with_suffix('')}.summary.csv")
+    rows = [row for group in per_file for row in group]
+    with open(target, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])
+        writer.writerows(rows)
 
-        target = out or (base / doc["out"] if "out" in doc
-                         else f"{manifest_path.with_suffix('')}.summary.csv")
-        rows = [row for group in per_file for row in group]
-        with open(target, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])
-            writer.writerows(rows)
-
-        succeeded = sum(1 for row in rows if row[5] == "")
-        click.echo(f"wrote {target}: {succeeded}/{len(rows)} rows analyzed")
-        if succeeded == 0:
-            sys.exit(EXIT_DATA)
-
-    _guarded(body)
+    succeeded = sum(1 for row in rows if row[5] == "")
+    click.echo(f"wrote {target}: {succeeded}/{len(rows)} rows analyzed")
+    if succeeded == 0:
+        raise SystemExit(EXIT_DATA)
 
 
 if __name__ == "__main__":

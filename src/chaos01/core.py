@@ -13,6 +13,7 @@ over many random frequencies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -185,21 +186,30 @@ class TestConfig:
     bands: ClassificationBands = field(default_factory=ClassificationBands)
 
     def __post_init__(self):
-        if self.num_c < 1:
-            raise InvalidParameterError("num_c must be at least 1")
+        _check_count("num_c", self.num_c, 1)
+        _check_count("seed", self.seed, 0)
         if not 0.0 <= self.c_low < self.c_high <= TWO_PI:
             raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi")
         if not 0.0 <= self.trim_fraction < 0.5:
             raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
         if not 0.0 < self.n0_fraction <= 0.5:
             raise InvalidParameterError("n0_fraction must lie in (0, 0.5]")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be non-negative")
+        if not isinstance(self.bands, ClassificationBands):
+            raise InvalidParameterError(f"bands must be ClassificationBands, got {self.bands!r}")
         # Accept plain strings for the enum fields so configs parsed from
         # JSON or CLI flags do not need pre-conversion.
-        object.__setattr__(self, "method", Method(self.method))
-        object.__setattr__(self, "aggregator", Aggregator(self.aggregator))
-        object.__setattr__(self, "msd_variant", MsdVariant(self.msd_variant))
+        for name, kind in (("method", Method), ("aggregator", Aggregator),
+                           ("msd_variant", MsdVariant)):
+            try:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except ValueError:
+                raise InvalidParameterError(f"unknown {name}: {getattr(self, name)!r}") from None
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise unless ``value`` is an integer, not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidParameterError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ write/load cycle reproduces every sample bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -24,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TestResult, TimeSeries, TranslationTrajectory, aggregate_k
+from .core import TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count
 from .errors import (
-    InvalidParameterError,
     MissingSampleRateError,
     NonUniformSamplingError,
     SeriesFormatError,
@@ -73,10 +73,8 @@ class WindowPlan:
     stride: int
 
     def __post_init__(self):
-        if self.window_len < 1:
-            raise InvalidParameterError("window_len must be at least 1")
-        if self.stride < 1:
-            raise InvalidParameterError("stride must be at least 1")
+        _check_count("window_len", self.window_len, 1)
+        _check_count("stride", self.stride, 1)
 
 
 def _parse_float(text: str, line: int) -> float:
@@ -146,7 +144,7 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
     Raises
     ------
     SeriesFormatError
-        On malformed content, with the 1-based line number when known.
+        On malformed or non-UTF-8 content, with the 1-based line number when known.
     NonUniformSamplingError
         When time_value_csv timestamps are unevenly spaced.
     OSError
@@ -155,7 +153,10 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
     if not isinstance(file, SeriesFile):
         file = SeriesFile(path=file)
     path = Path(file.path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
     if file.format is SeriesFormat.SINGLE_COLUMN:
         samples, rate = _load_single_column(lines, file.sample_rate)
     else:
@@ -168,19 +169,26 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
 def write_series(series: TimeSeries, path: str | Path,
                  format: SeriesFormat = SeriesFormat.SINGLE_COLUMN) -> None:
     """Serialize a series; the inverse of :func:`load_series`."""
-    format = SeriesFormat(format)
-    out = []
-    if format is SeriesFormat.SINGLE_COLUMN:
-        if series.sample_rate is not None:
-            out.append(f"# sample_rate={series.sample_rate!r}")
-        out.extend(repr(float(v)) for v in series.samples)
+    rate = series.sample_rate
+    if SeriesFormat(format) is SeriesFormat.SINGLE_COLUMN:
+        _write_table(path, None if rate is None else f"# sample_rate={rate!r}", series.samples)
+    elif rate is None:
+        raise MissingSampleRateError("time_value_csv needs a sample rate for the time column")
     else:
-        if series.sample_rate is None:
-            raise MissingSampleRateError("time_value_csv needs a sample rate for the time column")
-        out.append("time,value")
-        for j, v in enumerate(series.samples):
-            out.append(f"{j / series.sample_rate!r},{float(v)!r}")
-    Path(path).write_text("\n".join(out) + "\n")
+        _write_table(path, "time,value", np.arange(len(series)) / rate, series.samples)
+
+
+def _write_table(path: str | Path, header: str | None, *columns) -> None:
+    """Write ``columns`` side by side as CSV rows under an optional header, each
+    number in its shortest round-trip form, so that it reads back bit for bit."""
+    columns = [np.asarray(column) for column in columns]
+    step = 1 << 16  # rows rendered per write, which bounds the text held at once
+    with open(path, "w") as handle:
+        if header is not None:
+            handle.write(header + "\n")
+        for start in range(0, len(columns[0]), step):
+            rows = zip(*(map(repr, c[start:start + step].tolist()) for c in columns))
+            handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def segment(series: TimeSeries, plan: WindowPlan) -> list[TimeSeries]:
@@ -225,22 +233,7 @@ def export_result(result: TestResult, path: str | Path) -> None:
         "per_c": [
             {"c": r.c, "k": r.k, "degenerate": r.degenerate} for r in result.per_c
         ],
-        "config": {
-            "num_c": config.num_c,
-            "c_low": config.c_low,
-            "c_high": config.c_high,
-            "method": config.method.value,
-            "aggregator": config.aggregator.value,
-            "trim_fraction": config.trim_fraction,
-            "n0_fraction": config.n0_fraction,
-            "seed": config.seed,
-            "msd_variant": config.msd_variant.value,
-            "bands": {
-                "regular_max": config.bands.regular_max,
-                "quasi_periodic_max": config.bands.quasi_periodic_max,
-                "aperiodic_max": config.bands.aperiodic_max,
-            },
-        },
+        "config": dataclasses.asdict(config),
         "version": __version__,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -248,27 +241,18 @@ def export_result(result: TestResult, path: str | Path) -> None:
 
 def export_trajectory(traj: TranslationTrajectory, path: str | Path) -> None:
     """Write the planar path as a two-column CSV with a single header row."""
-    rows = ["p,q"]
-    rows.extend(f"{float(p)!r},{float(q)!r}" for p, q in zip(traj.p, traj.q))
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_table(path, "p,q", traj.p, traj.q)
 
 
 def export_scatter(result: TestResult, path: str | Path) -> None:
     """Write per-frequency growth rates as CSV: draw index, c, |k|."""
-    rows = ["index,c,abs_k"]
-    rows.extend(
-        f"{i},{r.c!r},{abs(r.k)!r}" for i, r in enumerate(result.per_c)
-    )
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_table(path, "index,c,abs_k", range(len(result.per_c)),
+                 [r.c for r in result.per_c], [abs(r.k) for r in result.per_c])
 
 
 def export_psd(estimate: PsdEstimate, path: str | Path) -> None:
     """Write a spectrum as frequency,power CSV rows."""
-    rows = ["frequency,power"]
-    rows.extend(
-        f"{float(f)!r},{float(p)!r}" for f, p in zip(estimate.frequencies, estimate.power)
-    )
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_table(path, "frequency,power", estimate.frequencies, estimate.power)
 
 
 def recompute_k_m(result: TestResult) -> float:

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaos01 as c
-from chaos01.cli import main
+from chaos01.cli import _read, main
 
 
 @pytest.fixture
@@ -293,9 +295,11 @@ def test_batch_empty_manifest_exits_2(runner, tmp_path):
 
 def test_batch_invalid_json_exits_2(runner, tmp_path):
     manifest = tmp_path / "man.json"
-    manifest.write_text("{nope")
-    result = runner.invoke(main, ["batch", str(manifest)])
-    assert result.exit_code == 2
+    for content in (b"{nope", b'{"inputs": ["\xe9.csv"]}'):  # bad JSON, then bad UTF-8
+        manifest.write_bytes(content)
+        result = runner.invoke(main, ["batch", str(manifest)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
 
 
 def test_batch_windowed_rows(runner, tmp_path):
@@ -340,6 +344,140 @@ def test_batch_concurrency_is_deterministic(runner, tmp_path):
         assert result.exit_code == 0
         blobs.append((tmp_path / name).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param({"format": "xml"}, id="unknown-format"),
+    pytest.param({"window": {"window_len": 300, "stride": 300, "size": 3}},
+                 id="unknown-window-key"),
+    pytest.param({"window": {"stride": 300}}, id="missing-window-key"),
+    pytest.param({"window": {"window_len": 2.5, "stride": 300}}, id="fractional-window"),
+    pytest.param({"window": {"window_len": 300, "stride": "x"}}, id="string-stride"),
+    pytest.param({"window": 300}, id="window-not-object"),
+    pytest.param({"config": [6]}, id="config-not-object"),
+    pytest.param({"config": {"num_c": 4, "seed": 1.5}}, id="fractional-seed"),
+    pytest.param({"config": {"num_c": 4, "seed": True}}, id="bool-seed"),
+    pytest.param({"config": {"num_c": 2.5}}, id="fractional-num-c"),
+    pytest.param({"config": {"num_c": 4, "n_c": 6}}, id="unknown-config-key"),
+    pytest.param({"config": {"num_c": 4, "method": "centroid"}}, id="unknown-method"),
+    pytest.param({"config": {"num_c": 4, "aggregator": "mode"}}, id="unknown-aggregator"),
+    pytest.param({"config": {"num_c": 4, "msd_variant": "smoothed"}}, id="unknown-msd-variant"),
+    pytest.param({"config": {"num_c": 4, "c_low": "0.5"}}, id="string-c-low"),
+    pytest.param({"config": {"num_c": 4, "bands": {"x": 1}}}, id="unknown-band"),
+    pytest.param({"config": {"num_c": 4, "bands": 3}}, id="bands-not-object"),
+    pytest.param({"inputs": "a.csv"}, id="inputs-string"),
+    pytest.param({"inputs": ["a.csv", 3]}, id="non-string-input"),
+    pytest.param({"inputs": ["a\0.csv"]}, id="nul-in-input"),
+    pytest.param({"out": 5}, id="out-not-path"),
+    pytest.param({"confg": {"num_c": 4}}, id="unknown-top-level-key"),
+])
+def test_batch_invalid_manifest_exits_2_with_one_line(runner, tmp_path, patch):
+    _generate(runner, tmp_path, "uniform_random", n=600)
+    doc = {"inputs": ["uniform_random.csv"], "config": {"num_c": 4}, **patch}
+    manifest = tmp_path / "man.json"
+    manifest.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["batch", str(manifest)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert not (tmp_path / "man.summary.csv").exists()
+
+
+def test_undecodable_file_exits_4_or_becomes_error_row(runner, tmp_path):
+    good = _generate(runner, tmp_path, "uniform_random", n=600)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# sample_rate=5000.0\n0.5\n\xff\xfe\n")
+    for command in ("analyze", "psd"):
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 4, result.output
+        assert "not UTF-8" in result.output
+    manifest = _write_manifest(tmp_path / "man.json", [good.name, bad.name], config={"num_c": 4})
+    result = runner.invoke(main, ["batch", str(manifest)])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "man.summary.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[5] == ""
+    assert rows[1].startswith(f"{bad},,,,,") and "not UTF-8" in rows[1]
+
+
+@pytest.mark.parametrize("config", [
+    c.TestConfig(),
+    c.TestConfig(num_c=6, c_low=0.5, c_high=5.0, method="regression", aggregator="median",
+                 trim_fraction=0.1, n0_fraction=0.2, seed=3, msd_variant="corrected",
+                 bands=c.ClassificationBands(0.1, 0.3, 0.9)),
+])
+def test_result_config_block_reads_back_as_manifest_config(runner, tmp_path, config):
+    src = _generate(runner, tmp_path, "uniform_random", n=600)
+    result = c.run_test(c.load_series(src), config)
+    c.export_result(result, tmp_path / "r.json")
+    block = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert _read(c.TestConfig, block, "config") == config
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config=block)
+    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
+    row = (tmp_path / "man.summary.csv").read_text().splitlines()[1].split(",")
+    assert row[2:4] == [repr(result.k_m), result.label.value]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    c.write_series(c.gen_uniform_random(600, seed=1), path / "a.csv")
+    c.write_series(c.gen_quasiperiodic(5000.0, 500), path / "b.csv", "time_value_csv")
+    (path / "bad.csv").write_bytes(b"1.0\n\xff\n")
+    return path
+
+
+# A bad type or value, or an unknown key, turns up one draw in eight, so that
+# most manifests mix valid and invalid parts.  No draw asks for a big run.
+_JUNK = st.sampled_from([None, True, -1, 0, 2.5, "x", [1], {"x": 1}])
+
+
+def _rarely(bad, good):
+    return st.sampled_from(range(8)).flatmap(lambda roll: bad if roll == 7 else good)
+
+
+def _or_junk(valid):
+    return _rarely(_JUNK, valid)
+
+
+def _object(required, optional):
+    return _or_junk(_rarely(st.fixed_dictionaries({**required, "bogus": st.just(1)},
+                                                  optional=optional),
+                            st.fixed_dictionaries(required, optional=optional)))
+
+
+_BANDS = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3, unique=True).map(
+    lambda edges: dict(zip(("regular_max", "quasi_periodic_max", "aperiodic_max"), sorted(edges))))
+
+_MANIFESTS = _object({
+    "inputs": _or_junk(st.lists(st.sampled_from(["a.csv", "b.csv", "bad.csv", "gone.csv"]),
+                                min_size=1, max_size=2)),
+    "config": _object({"num_c": _or_junk(st.integers(1, 8))}, {
+        "seed": _or_junk(st.integers(0, 2**64)),
+        "method": _or_junk(st.sampled_from(["regression", "correlation"])),
+        "aggregator": _or_junk(st.sampled_from(["mean", "median", "trimmed", "trimmed_mean"])),
+        "msd_variant": _or_junk(st.sampled_from(["plain", "corrected"])),
+        "c_low": _or_junk(st.floats(0.0, 3.0)),
+        "c_high": _or_junk(st.floats(3.0, 6.28)),
+        "trim_fraction": _or_junk(st.floats(0.0, 0.45)),
+        "n0_fraction": _or_junk(st.floats(0.05, 0.5)),
+        "bands": _or_junk(_BANDS),
+    }),
+}, {
+    "format": _or_junk(st.sampled_from(["single_column", "time_value_csv"])),
+    "window": _object({"window_len": _or_junk(st.integers(100, 600)),
+                       "stride": _or_junk(st.integers(100, 600))}, {}),
+    "out": _or_junk(st.just("fuzz.summary.csv")),
+})
+
+
+@given(doc=_MANIFESTS, jobs=st.sampled_from(["1", "2"]))
+@settings(max_examples=100, deadline=None)
+def test_batch_manifest_fuzz_exits_with_a_documented_code(fuzz_dir, doc, jobs):
+    manifest = fuzz_dir / "man.json"
+    manifest.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["batch", str(manifest), "--jobs", jobs])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in (0, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -394,9 +394,19 @@ def test_bands_must_be_ordered():
     {"n0_fraction": 0.6},
     {"seed": -1},
     {"method": "centroid"},
+    {"num_c": 2.5},
+    {"num_c": True},
+    {"seed": 1.5},
+    {"seed": True},
+    {"seed": "3"},
+    {"aggregator": "trimmed"},
+    {"aggregator": ["mean"]},
+    {"msd_variant": "smoothed"},
+    {"bands": {"regular_max": 0.1}},
+    {"bands": 3},
 ])
 def test_config_validation(kwargs):
-    with pytest.raises((c.InvalidParameterError, ValueError)):
+    with pytest.raises(c.InvalidParameterError):
         c.TestConfig(**kwargs)
 
 

@@ -91,6 +91,17 @@ def test_load_missing_file_raises_oserror(tmp_path):
         c.load_series(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("fmt, content", [
+    ("single_column", b"1.0\n2.\xff\n"),
+    ("time_value_csv", b"time,value\n0.0,\xe9\n"),
+])
+def test_load_undecodable_bytes_raise_series_format_error(tmp_path, fmt, content):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(content)
+    with pytest.raises(c.SeriesFormatError, match="not UTF-8"):
+        c.load_series(c.SeriesFile(path, format=fmt))
+
+
 # ---------------------------------------------------------------------------
 # time_value_csv
 
@@ -255,10 +266,9 @@ def test_segment_tiling_reconstructs_prefix():
 
 
 def test_window_plan_validation():
-    with pytest.raises(c.InvalidParameterError):
-        c.WindowPlan(window_len=0, stride=1)
-    with pytest.raises(c.InvalidParameterError):
-        c.WindowPlan(window_len=5, stride=0)
+    for window_len, stride in [(0, 1), (5, 0), (2.5, 1), (5, 2.0), ("x", 1), (5, True), (None, 1)]:
+        with pytest.raises(c.InvalidParameterError):
+            c.WindowPlan(window_len=window_len, stride=stride)
 
 
 # ---------------------------------------------------------------------------
