@@ -268,15 +268,16 @@ def batch(manifest, out, window, stride, jobs):
     config = _read(TestConfig, doc.get("config", {}), "config")
     plan = _read(WindowPlan, doc["window"], "window") if "window" in doc else None
     if window is not None:
-        plan = WindowPlan(window_len=window, stride=stride or window)
-
-    with ThreadPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-        per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))
+        plan = WindowPlan(window_len=window, stride=window if stride is None else stride)
+    elif stride is not None:
+        raise InvalidParameterError("--stride needs --window")
 
     target = out or (base / doc["out"] if "out" in doc
                      else f"{manifest_path.with_suffix('')}.summary.csv")
-    rows = [row for group in per_file for row in group]
-    with open(target, "w", newline="") as handle:
+    with open(target, "w", newline="") as handle:  # an unwritable target fails before any work
+        with ThreadPoolExecutor(max_workers=min(jobs, len(names))) as pool:
+            per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))
+        rows = [row for group in per_file for row in group]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])
         writer.writerows(rows)

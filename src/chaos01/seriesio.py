@@ -9,6 +9,11 @@ Two text formats are understood:
   rows; timestamps must be uniformly spaced (relative tolerance 1e-6) and
   their spacing defines the sample rate.
 
+A file is read as one array by ``np.loadtxt``.  When that reader declines
+it (a value it cannot parse, a skipped or non-finite row, uneven
+timestamps), the file is re-read line by line, so that the error can name
+its line; that parser alone decides what is accepted.
+
 All reals are rendered with their shortest round-trip decimal form, so a
 write/load cycle reproduces every sample bit for bit.
 """
@@ -87,6 +92,26 @@ def _parse_float(text: str, line: int) -> float:
     return value
 
 
+def _fast_table(body: list[str], columns: int) -> np.ndarray | None:
+    """Read ``body`` as a ``len(body)`` × ``columns`` table of finite floats in one
+    call, or return None so the line parser can accept the file or name its bad line.
+
+    loadtxt parses a field as ``float()`` does, but it rejects ``_`` and
+    non-ASCII digits, skips empty lines (which the row count catches) and
+    strips a unit separator ``\x1f`` at a field's edge, where ``float()``
+    rejects it beside a comma (so two-column callers check for it).
+    """
+    if not body:
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(body), columns) or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def _load_single_column(lines: list[str], fallback_rate: float | None) -> tuple[np.ndarray, float | None]:
     rate = fallback_rate
     start = 0
@@ -98,6 +123,9 @@ def _load_single_column(lines: list[str], fallback_rate: float | None) -> tuple[
         if not rate > 0:
             raise SeriesFormatError("sample_rate must be positive", line=1)
         start = 1
+    table = _fast_table(lines[start:], 1)
+    if table is not None:
+        return table[:, 0], rate
     values = []
     for i in range(start, len(lines)):
         text = lines[i].strip()
@@ -107,9 +135,18 @@ def _load_single_column(lines: list[str], fallback_rate: float | None) -> tuple[
     return np.array(values, dtype=float), rate
 
 
-def _load_time_value(lines: list[str]) -> tuple[np.ndarray, float]:
+def _load_time_value(lines: list[str], tabular: bool) -> tuple[np.ndarray, float]:
+    """``tabular`` is False when the array reader must not be tried."""
     if not lines or lines[0].strip() != "time,value":
         raise SeriesFormatError("expected 'time,value' header", line=1)
+    table = _fast_table(lines[1:], 2) if tabular and len(lines) > 2 else None
+    if table is not None:
+        t = table[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the loop: inf and nan compare False
+            dt = float(t[1] - t[0])
+            uneven = np.abs(np.diff(t) - dt) > SPACING_RTOL * dt
+        if dt > 0 and not uneven.any():
+            return np.ascontiguousarray(table[:, 1]), 1.0 / dt  # a copy, so the times are freed
     times = []
     values = []
     for i in range(1, len(lines)):
@@ -154,13 +191,17 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
         file = SeriesFile(path=file)
     path = Path(file.path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SeriesFormatError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
+    lines = text.splitlines()
+    # loadtxt strips a unit separator (\x1f) beside a comma; float() rejects it there
+    tabular = "\x1f" not in text
+    del text
     if file.format is SeriesFormat.SINGLE_COLUMN:
         samples, rate = _load_single_column(lines, file.sample_rate)
     else:
-        samples, rate = _load_time_value(lines)
+        samples, rate = _load_time_value(lines, tabular)
     if samples.size == 0:
         raise SeriesFormatError("empty file")
     return TimeSeries(samples, sample_rate=rate, label=path.stem)

@@ -315,6 +315,30 @@ def test_batch_windowed_rows(runner, tmp_path):
     assert all(row.split(",")[1] == "400" for row in rows)
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--window", "400", "--stride", "0"], id="zero-stride"),
+    pytest.param(["--stride", "100"], id="stride-without-window"),
+])
+def test_batch_stride_without_valid_window_exits_2(runner, tmp_path, flags):
+    src = _generate(runner, tmp_path, "uniform_random", n=1000)
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 5})
+    result = runner.invoke(main, ["batch", str(manifest), *flags])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert not (tmp_path / "man.summary.csv").exists()
+
+
+def test_batch_unwritable_summary_exits_3_before_any_analysis(runner, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("chaos01.cli.run_test", lambda *args: calls.append(args))
+    src = _generate(runner, tmp_path, "uniform_random", n=600)
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
+    result = runner.invoke(main, ["batch", str(manifest), "--out", str(tmp_path / "nodir" / "s.csv")])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert calls == []
+
+
 def test_batch_manifest_window_and_config(runner, tmp_path):
     src = _generate(runner, tmp_path, "uniform_random", n=900)
     manifest = _write_manifest(

@@ -2,13 +2,15 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
+from chaos01 import seriesio
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,118 @@ def test_time_value_round_trip_is_bit_exact(tmp_path):
     back = c.load_series(c.SeriesFile(path, format="time_value_csv"))
     assert np.array_equal(back.samples, series.samples)
     assert back.sample_rate == pytest.approx(1000.0, rel=1e-9)
+
+
+ALL_FORMATS = list(c.SeriesFormat)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
+@given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+@example(samples=[5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0])
+@example(samples=[1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004,
+                  1.2345678901234567e-300, 9007199254740993.0])
+@settings(max_examples=60, deadline=None)
+def test_round_trip_is_bit_exact_over_all_finite_floats(tmp_path_factory, fmt, samples):
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    series = c.TimeSeries(samples, sample_rate=1000.0)
+    c.write_series(series, path, format=fmt)
+    back = c.load_series(c.SeriesFile(path, format=fmt))
+    assert np.array_equal(back.samples.view(np.uint64), series.samples.view(np.uint64))
+
+
+def test_loaded_sample_rate_is_a_python_float(tmp_path):
+    path = tmp_path / "tv.csv"
+    c.write_series(c.TimeSeries(np.sin(np.arange(50.0)), sample_rate=5000.0), path,
+                   format="time_value_csv")
+    back = c.load_series(c.SeriesFile(path, format="time_value_csv"))
+    assert type(back.sample_rate) is float
+    # the rate is 1 / (t1 - t0) of the first two timestamps, as the line parser computes it
+    t0, t1 = (float(line.split(",")[0]) for line in path.read_text().splitlines()[1:3])
+    c.write_series(back, tmp_path / "sc.csv")
+    header = (tmp_path / "sc.csv").read_text().splitlines()[0]
+    assert header == f"# sample_rate={1.0 / (t1 - t0)!r}"
+    assert type(c.load_series(tmp_path / "sc.csv").sample_rate) is float
+
+
+def _outcome(path, fmt):
+    """What load_series makes of a file: its sample bits and rate, or its error."""
+    try:
+        series = c.load_series(c.SeriesFile(path, format=fmt))
+    except c.Chaos01Error as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return series.samples.view(np.uint64).tolist(), series.sample_rate, type(series.sample_rate)
+
+
+def _line_parser_outcome(path, fmt):
+    with mock.patch.object(seriesio, "_fast_table", lambda body, columns: None):
+        return _outcome(path, fmt)
+
+
+_INSERTIONS = ["_", "inf", "nan", "1e400", ",", "#", " ", "\t", "\x0c", "\x85", "\x1f", "\x00",
+               "\u3000", "\xa0", "\u0661\u0662", "\u0967", "'", '"', "-", ".", "e", "5", "\n"]
+
+
+def _valid_text(samples, rate, fmt):
+    """A file as write_series renders it."""
+    series = c.TimeSeries(samples, sample_rate=rate)
+    if fmt is c.SeriesFormat.SINGLE_COLUMN:
+        head = [] if rate is None else [f"# sample_rate={rate!r}"]
+        return "\n".join(head + [repr(x) for x in series.samples.tolist()]) + "\n"
+    times = (np.arange(len(series)) / rate).tolist()
+    return "time,value\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(times, series.samples.tolist()))
+
+
+@st.composite
+def mutated_files(draw):
+    fmt = draw(st.sampled_from(ALL_FORMATS))
+    samples = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=6))
+    rate = draw(st.sampled_from([None, 250.0, 3.0])) if fmt is c.SeriesFormat.SINGLE_COLUMN else 250.0
+    lines = _valid_text(samples, rate, fmt).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\u3000", "\x1f"])))
+        else:
+            row = draw(st.integers(0, len(lines) - 1))
+            at = draw(st.integers(0, len(lines[row])))
+            text = draw(st.sampled_from(_INSERTIONS))
+            lines[row] = lines[row][:at] + text + lines[row][at:]
+    return fmt, "\n".join(lines)
+
+
+@given(case=mutated_files())
+@settings(max_examples=300, deadline=None)
+def test_array_reader_agrees_with_line_parser(tmp_path_factory, case):
+    fmt, text = case
+    path = tmp_path_factory.mktemp("fz") / "m.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(path, fmt) == _line_parser_outcome(path, fmt)
+
+
+@pytest.mark.parametrize("fmt, text, expected", [
+    ("single_column", "1_000\n2\n", [1000.0, 2.0]),
+    ("single_column", "\u0661\u0662\n3\n", [12.0, 3.0]),
+    ("single_column", "1.5\x0c\n2.0\n", (c.SeriesFormatError, 2)),
+    ("single_column", "1.0\n\n2.0\n", (c.SeriesFormatError, 2)),
+    ("single_column", "1.0\n \u3000\n2.0\n", (c.SeriesFormatError, 2)),
+    ("single_column", "1.0\n1e400\n", (c.SeriesFormatError, 2)),
+    ("single_column", "1.0\nnan\n", (c.SeriesFormatError, 2)),
+    ("time_value_csv", "time,value\n0,1_0\n1,2\n", [10.0, 2.0]),
+    ("time_value_csv", "time,value\n0.0\x1f,1.0\n0.5,2.0\n", (c.SeriesFormatError, 2)),
+    ("time_value_csv", "time,value\n0.0,1.0\n0.5,2.0\n1.5,3.0\n", (c.NonUniformSamplingError, 4)),
+    ("time_value_csv", "time,value\n0.0,1.0\n0.0,2.0\n", (c.NonUniformSamplingError, 3)),
+    # the spacing overflows to inf, so the rate is 1 / inf = 0
+    ("time_value_csv", "time,value\n-1.7e308,1.0\n1.7e308,2.0\n", (c.InvalidParameterError, None)),
+])
+def test_line_parser_decides_what_the_array_reader_declines(tmp_path, fmt, text, expected):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    outcome = _outcome(path, fmt)
+    assert outcome == _line_parser_outcome(path, fmt)
+    if isinstance(expected, list):
+        assert outcome[0] == np.array(expected).view(np.uint64).tolist()
+    else:
+        assert outcome[0] is expected[0] and outcome[2] == expected[1]
 
 
 def test_write_time_value_requires_rate(tmp_path):
