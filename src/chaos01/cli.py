@@ -274,6 +274,8 @@ def batch(manifest, out, window, stride, jobs):
 
     target = out or (base / doc["out"] if "out" in doc
                      else f"{manifest_path.with_suffix('')}.summary.csv")
+    if Path(target).resolve() in {(base / name).resolve() for name in names}:
+        raise InvalidParameterError(f"summary path {target} is also an input")
     with open(target, "w", newline="") as handle:  # an unwritable target fails before any work
         with ThreadPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))

@@ -339,6 +339,17 @@ def test_batch_unwritable_summary_exits_3_before_any_analysis(runner, tmp_path, 
     assert calls == []
 
 
+def test_batch_summary_path_naming_an_input_exits_2(runner, tmp_path):
+    src = _generate(runner, tmp_path, "uniform_random", n=600)
+    before = src.read_bytes()
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4}, out=src.name)
+    for flags in ([], ["--out", str(src)]):
+        result = runner.invoke(main, ["batch", str(manifest), *flags])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert src.read_bytes() == before
+
+
 def test_batch_manifest_window_and_config(runner, tmp_path):
     src = _generate(runner, tmp_path, "uniform_random", n=900)
     manifest = _write_manifest(
