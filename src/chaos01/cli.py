@@ -28,6 +28,7 @@ from .core import (
     Aggregator,
     Method,
     TestConfig,
+    _usable_cpus,
     run_test,
     translation_variables,
 )
@@ -228,7 +229,7 @@ def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
 @click.option("--stride", type=int, default=None,
               help="Window step [default: --window, i.e. non-overlapping].")
 @click.option("--jobs", type=int, default=4, show_default=True,
-              help="Concurrent workers.")
+              help="Files analyzed at once, at most one per usable CPU.")
 def batch(manifest, out, window, stride, jobs):
     """Analyze every file in a JSON manifest and write one summary CSV.
 
@@ -277,7 +278,9 @@ def batch(manifest, out, window, stride, jobs):
     if Path(target).resolve() in {(base / name).resolve() for name in names}:
         raise InvalidParameterError(f"summary path {target} is also an input")
     with open(target, "w", newline="") as handle:  # an unwritable target fails before any work
-        with ThreadPoolExecutor(max_workers=min(jobs, len(names))) as pool:
+        # each run_test also spreads its angle chunks over the CPUs, so more
+        # file threads than CPUs only contend
+        with ThreadPoolExecutor(max_workers=min(jobs, len(names), _usable_cpus())) as pool:
             per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))
         rows = [row for group in per_file for row in group]
         writer = csv.writer(handle, lineterminator="\n")

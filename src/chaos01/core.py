@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -286,9 +288,14 @@ def _fast_len(n: int) -> int:
 
 def _msd_rows(steps: np.ndarray, n0: int) -> np.ndarray:
     """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
-    steps are each row.  As ``|dz|^2 = dp^2 + dq^2``, the sum at lag ``n`` is
-    two tails of ``sum |z|^2`` less twice the real autocorrelation, which one
-    complex FFT pair padded to ``N + n0`` (no lag wraps) gives for all lags."""
+    steps are each row; ``steps`` is overwritten.  As ``|dz|^2 = dp^2 + dq^2``,
+    the sum at lag ``n`` is two tails of ``sum |z|^2`` less twice the real
+    autocorrelation, which one FFT of ``z`` padded to ``L >= N + n0`` (no lag
+    wraps) gives for all lags.  The power ``P = |Y|^2`` of a complex path has
+    no symmetry, but the real part of its inverse transform is the inverse
+    transform of its even part ``(P[k] + P[(L - k) % L]) / 2``, a real and
+    symmetric sequence, so one real inverse FFT of half length takes twice
+    the autocorrelation from ``P[k] + P[(L - k) % L]``, ``k = 0 .. L // 2``."""
     n_len = steps.shape[1]
     lags = np.arange(1, n0 + 1, dtype=float)
     # Build y from the steps less their mean `drift` (the first step never
@@ -296,22 +303,36 @@ def _msd_rows(steps: np.ndarray, n0: int) -> np.ndarray:
     # short lags as differences of sums growing like N^3.  The last two terms
     # of `out` put the drift back in closed form.
     drift = steps[:, 1:].mean(axis=1, keepdims=True)
-    y = steps - drift
+    y = steps
+    y -= drift
     y[:, 0] = 0.0
     np.cumsum(y, axis=1, out=y)
-    energy = np.cumsum(y.real * y.real + y.imag * y.imag, axis=1)
+    energy = np.square(y.real)
+    energy += np.square(y.imag)
+    np.cumsum(energy, axis=1, out=energy)
+    ends = energy[:, -1:] - energy[:, :n0]
+    ends += energy[:, n_len - n0 - 1:n_len - 1][:, ::-1]
+    del energy
     level = np.cumsum(y, axis=1)
-    head = energy[:, -1:] - energy[:, :n0]
-    tail = energy[:, n_len - n0 - 1:n_len - 1][:, ::-1]
     shift = level[:, -1:] - level[:, :n0] - level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
-    spectrum = np.fft.fft(y, _fast_len(n_len + n0), axis=1)
-    acf = np.fft.ifft(spectrum.real**2 + spectrum.imag**2, axis=1)[:, 1:n0 + 1].real
+    del level
+    size = _fast_len(n_len + n0)
+    spectrum = np.fft.fft(y, size, axis=1)
+    power = np.square(spectrum.real, out=spectrum.real)
+    power += np.square(spectrum.imag, out=spectrum.imag)
+    half = size // 2
+    even = power[:, :half + 1].copy()
+    even[:, 1:] += power[:, :size - half - 1:-1]
+    even[:, 0] *= 2.0
+    del spectrum, power
+    acf2 = np.fft.irfft(even, size, axis=1)[:, 1:n0 + 1]
+    del even
     ramp = (n_len - lags) * lags**2 * (drift.real**2 + drift.imag**2)
-    out = head + tail - 2.0 * acf + 2.0 * lags * (drift.conj() * shift).real + ramp
+    out = ends - acf2 + 2.0 * lags * (drift.conj() * shift).real + ramp
     # Snap rounding dust (relative to the energy scale) to exact zero so flat
     # trajectories stay flat, and clamp the negatives it causes; a curve whose
     # whole range is dust is made flat, or its growth rate fits the rounding.
-    dust = 1e-12 * (head + tail + ramp)
+    dust = 1e-12 * (ends + ramp)
     out[np.abs(out) <= dust] = 0.0
     np.maximum(out, 0.0, out=out)
     flat = np.ptp(out, axis=1) <= dust.max(axis=1)
@@ -419,6 +440,15 @@ def lag_window(num_samples: int, n0_fraction: float) -> int:
     return max(2, math.floor(n0_fraction * num_samples))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _draw_frequencies(config: TestConfig) -> list[float]:
     # PCG64 is stable across platforms and versions, so a seed pins the
     # exact frequency draw everywhere.
@@ -458,13 +488,24 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
 
     angles = np.array(_draw_frequencies(config))
     rows = max(1, _CHUNK_ELEMENTS // _fast_len(n_len + n0))
-    rates: list[GrowthRate] = []
-    for start in range(0, angles.size, rows):
-        chunk = angles[start:start + rows]
+    chunks = [angles[start:start + rows] for start in range(0, angles.size, rows)]
+
+    def chunk_rates(chunk: np.ndarray) -> list[GrowthRate]:
         values = _msd_rows(_steps(series.samples, chunk), n0)
         if config.msd_variant is MsdVariant.CORRECTED:
             values -= oscillation_correction(chunk, n0, float(np.mean(series.samples)))
-        rates += _growth_rates(values, chunk, config.method)
+        return _growth_rates(values, chunk, config.method)
+
+    # numpy's FFTs and ufuncs release the GIL, so chunks on threads share the
+    # CPUs.  The pool lives for one call: a module-level one would not
+    # survive fork.
+    workers = min(len(chunks), _usable_cpus())
+    if workers == 1:
+        per_chunk = [chunk_rates(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_chunk = list(pool.map(chunk_rates, chunks))
+    rates = [rate for group in per_chunk for rate in group]
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

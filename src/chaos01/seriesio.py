@@ -146,7 +146,7 @@ def _load_time_value(lines: list[str], tabular: bool) -> tuple[np.ndarray, float
             dt = float(t[1] - t[0])
             uneven = np.abs(np.diff(t) - dt) > SPACING_RTOL * dt
         if dt > 0 and not uneven.any():
-            return np.ascontiguousarray(table[:, 1]), 1.0 / dt  # a copy, so the times are freed
+            return np.ascontiguousarray(table[:, 1]), _rate(dt)  # a copy, so the times are freed
     times = []
     values = []
     for i in range(1, len(lines)):
@@ -169,7 +169,16 @@ def _load_time_value(lines: list[str], tabular: bool) -> tuple[np.ndarray, float
             raise NonUniformSamplingError(
                 f"timestamp gap {gap!r} deviates from {dt!r}", line=i + 3
             )
-    return np.array(values, dtype=float), 1.0 / dt
+    return np.array(values, dtype=float), _rate(dt)
+
+
+def _rate(dt: float) -> float:
+    """The sample rate of timestamps ``dt`` apart, which the first two rows set."""
+    rate = 1.0 / dt
+    if not (math.isfinite(rate) and rate > 0):
+        raise SeriesFormatError(f"timestamp spacing {dt!r} gives no finite positive sample rate",
+                                line=3)
+    return rate
 
 
 def load_series(file: SeriesFile | str | Path) -> TimeSeries:

@@ -373,12 +373,12 @@ def test_batch_concurrency_is_deterministic(runner, tmp_path):
         inputs.append(out.name)
     manifest = _write_manifest(tmp_path / "man.json", inputs, config={"num_c": 8})
     blobs = []
-    for jobs, name in ((1, "s1.csv"), (4, "s4.csv"), (4, "s4b.csv")):
+    for jobs, name in ((1, "s1.csv"), (2, "s2.csv"), (8, "s8.csv"), (8, "s8b.csv")):
         result = runner.invoke(main, ["batch", str(manifest), "--jobs", str(jobs),
                                       "--out", str(tmp_path / name)])
         assert result.exit_code == 0
         blobs.append((tmp_path / name).read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
 @pytest.mark.parametrize("patch", [
@@ -416,6 +416,30 @@ def test_batch_invalid_manifest_exits_2_with_one_line(runner, tmp_path, patch):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
     assert not (tmp_path / "man.summary.csv").exists()
+
+
+@pytest.mark.parametrize("times", [
+    [i * 5e-324 for i in range(10)],  # subnormal spacing: the rate would be inf
+    [-1.7e308, 1.7e308],  # the spacing overflows: the rate would be 0
+])
+def test_spacing_without_a_finite_rate_exits_4_or_becomes_error_row(runner, tmp_path, times):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("time,value\n" + "".join(f"{t!r},{i}.0\n" for i, t in enumerate(times)))
+    for command in ("analyze", "psd"):
+        result = runner.invoke(main, [command, str(bad), "--format", "time_value_csv"])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: line 3: ")
+        assert "Traceback" not in result.output
+    good = tmp_path / "good.csv"
+    samples = c.gen_uniform_random(600, seed=1).samples
+    c.write_series(c.TimeSeries(samples, sample_rate=100.0), good, format="time_value_csv")
+    manifest = _write_manifest(tmp_path / "man.json", [good.name, bad.name],
+                               format="time_value_csv", config={"num_c": 4})
+    result = runner.invoke(main, ["batch", str(manifest)])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "man.summary.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[5] == ""
+    assert rows[1].startswith(f"{bad},,,,,") and "line 3" in rows[1]
 
 
 def test_undecodable_file_exits_4_or_becomes_error_row(runner, tmp_path):

@@ -2,7 +2,9 @@
 aggregation, classification, and the run_test driver."""
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -193,6 +195,23 @@ def test_msd_kernel_matches_direct_evaluation_on_short_windows():
         got = c.msd(traj, n0).values
         want = _direct_msd(traj.p, traj.q, n0)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * want.max()), angle
+
+
+@pytest.mark.parametrize("n_len, n0, size", [
+    (190, 53, 243), (290, 81, 375), (520, 145, 675),  # odd: no Nyquist bin
+    (500, 140, 640), (800, 224, 1024),
+])
+def test_msd_kernel_matches_direct_evaluation_at_odd_and_even_fft_lengths(n_len, n0, size):
+    # The real inverse FFT pairs bin k with bin (L - k) % L; odd and even L
+    # index the middle of the spectrum differently.
+    assert core._fast_len(n_len + n0) == size
+    angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5, 5.9])  # the second is resonant
+    for series in (c.gen_sawtooth(100.0, 5000.0, n_len), c.gen_quasiperiodic(5000.0, n_len)):
+        got = core._msd_rows(core._steps(series.samples, angles), n0)
+        for row, angle in zip(got, angles):
+            traj = c.translation_variables(series, angle)
+            want = _direct_msd(traj.p, traj.q, n0)
+            assert np.allclose(row, want, rtol=1e-9, atol=1e-12 * want.max()), (size, angle)
 
 
 def test_msd_kernel_keeps_short_lags_at_a_million_samples():
@@ -583,6 +602,70 @@ def test_run_test_chunking_does_not_move_results(monkeypatch):
         assert np.allclose([r.k for r in result.per_c], [r.k for r in reference.per_c],
                            rtol=0, atol=1e-13)
         assert result.k_m == pytest.approx(reference.k_m, abs=1e-13)
+
+
+@pytest.mark.parametrize("method", list(c.Method))
+def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
+    # henon at N = 5000 packs 20 angles per chunk, so 50 angles are 3 chunks
+    series = c.gen_henon()
+    config = c.TestConfig(num_c=50, seed=4, method=method, msd_variant="corrected")
+    threads = set()
+    msd_rows = core._msd_rows
+
+    def spy(steps, n0):
+        threads.add(threading.get_ident())
+        return msd_rows(steps, n0)
+
+    monkeypatch.setattr(core, "_msd_rows", spy)
+    calling = threading.get_ident()
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
+        threads.clear()
+        results.append(c.run_test(series, config))
+        assert len(threads) <= workers
+        assert (threads == {calling}) == (workers == 1)
+    first = results[0]
+    for result in results[1:]:
+        assert [r.c for r in result.per_c] == [r.c for r in first.per_c]
+        assert [r.k for r in result.per_c] == [r.k for r in first.per_c]
+        assert [r.degenerate for r in result.per_c] == [r.degenerate for r in first.per_c]
+        assert result.k_m == first.k_m
+
+
+def test_run_test_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    before = set(threading.enumerate())
+    c.run_test(c.gen_henon(), c.TestConfig(num_c=50))
+    assert set(threading.enumerate()) == before
+
+
+def test_run_test_inside_a_worker_thread_matches_the_calling_thread(monkeypatch):
+    # batch calls run_test from its own pool's threads
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    series = c.gen_henon()
+    config = c.TestConfig(num_c=50, seed=9, method="regression")
+    direct = c.run_test(series, config)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(c.run_test, series, config) for _ in range(2)]
+        nested = [future.result(timeout=120) for future in futures]
+    for result in nested:
+        assert [r.k for r in result.per_c] == [r.k for r in direct.per_c]
+        assert result.k_m == direct.k_m
+
+
+def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
+    # one row at 100k samples; two chunks in flight need the kernel this lean
+    series = c.gen_quasiperiodic(5000.0, 100_000)
+    n0 = c.lag_window(len(series), c.DEFAULT_N0_FRACTION)
+    steps = core._steps(series.samples, np.array([0.7]))
+    tracemalloc.start()
+    try:
+        core._msd_rows(steps, n0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_run_test_memory_stays_near_one_row():

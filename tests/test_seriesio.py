@@ -294,8 +294,11 @@ def test_array_reader_agrees_with_line_parser(tmp_path_factory, case):
     ("time_value_csv", "time,value\n0.0\x1f,1.0\n0.5,2.0\n", (c.SeriesFormatError, 2)),
     ("time_value_csv", "time,value\n0.0,1.0\n0.5,2.0\n1.5,3.0\n", (c.NonUniformSamplingError, 4)),
     ("time_value_csv", "time,value\n0.0,1.0\n0.0,2.0\n", (c.NonUniformSamplingError, 3)),
-    # the spacing overflows to inf, so the rate is 1 / inf = 0
-    ("time_value_csv", "time,value\n-1.7e308,1.0\n1.7e308,2.0\n", (c.InvalidParameterError, None)),
+    # the spacing overflows to inf, so the rate would be 1 / inf = 0
+    ("time_value_csv", "time,value\n-1.7e308,1.0\n1.7e308,2.0\n", (c.SeriesFormatError, 3)),
+    # subnormal spacing, so the rate would be 1 / 5e-324 = inf
+    ("time_value_csv", "time,value\n" + "".join(f"{i * 5e-324!r},{i}.0\n" for i in range(10)),
+     (c.SeriesFormatError, 3)),
 ])
 def test_line_parser_decides_what_the_array_reader_declines(tmp_path, fmt, text, expected):
     path = tmp_path / "d.csv"
