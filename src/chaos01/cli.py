@@ -28,9 +28,9 @@ from .core import (
     Aggregator,
     Method,
     TestConfig,
-    _usable_cpus,
     run_test,
     translation_variables,
+    usable_cpus,
 )
 from .errors import Chaos01Error, DivergenceError, InvalidParameterError
 from .seriesio import (
@@ -278,9 +278,9 @@ def batch(manifest, out, window, stride, jobs):
     if Path(target).resolve() in {(base / name).resolve() for name in names}:
         raise InvalidParameterError(f"summary path {target} is also an input")
     with open(target, "w", newline="") as handle:  # an unwritable target fails before any work
-        # each run_test also spreads its angle chunks over the CPUs, so more
-        # file threads than CPUs only contend
-        with ThreadPoolExecutor(max_workers=min(jobs, len(names), _usable_cpus())) as pool:
+        # each run_test also runs its angle chunks on threads, so more file
+        # threads than CPUs only contend
+        with ThreadPoolExecutor(max_workers=min(jobs, len(names), usable_cpus())) as pool:
             per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))
         rows = [row for group in per_file for row in group]
         writer = csv.writer(handle, lineterminator="\n")

@@ -278,6 +278,10 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
 #: Rows times FFT length per chunk of angles (one row at 100k samples).
 _CHUNK_ELEMENTS = 1 << 17
 
+#: Chunks that ``run_test`` computes at once on its threads, whatever the
+#: CPU count, so that its memory does not grow with the machine.
+_CHUNKS_IN_FLIGHT = 2
+
 
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least ``n``."""
@@ -440,7 +444,7 @@ def lag_window(num_samples: int, n0_fraction: float) -> int:
     return max(2, math.floor(n0_fraction * num_samples))
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform has
     one, else the machine's count."""
     try:
@@ -499,7 +503,7 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     # numpy's FFTs and ufuncs release the GIL, so chunks on threads share the
     # CPUs.  The pool lives for one call: a module-level one would not
     # survive fork.
-    workers = min(len(chunks), _usable_cpus())
+    workers = min(len(chunks), usable_cpus(), _CHUNKS_IN_FLIGHT)
     if workers == 1:
         per_chunk = [chunk_rates(chunk) for chunk in chunks]
     else:

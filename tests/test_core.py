@@ -617,10 +617,12 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
         return msd_rows(steps, n0)
 
     monkeypatch.setattr(core, "_msd_rows", spy)
+    # let the CPU count, not the chunks-in-flight cap, set the workers
+    monkeypatch.setattr(core, "_CHUNKS_IN_FLIGHT", 3)
     calling = threading.get_ident()
     results = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(core, "usable_cpus", lambda: workers)
         threads.clear()
         results.append(c.run_test(series, config))
         assert len(threads) <= workers
@@ -634,7 +636,7 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
 
 
 def test_run_test_leaves_no_thread_behind(monkeypatch):
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     before = set(threading.enumerate())
     c.run_test(c.gen_henon(), c.TestConfig(num_c=50))
     assert set(threading.enumerate()) == before
@@ -642,7 +644,7 @@ def test_run_test_leaves_no_thread_behind(monkeypatch):
 
 def test_run_test_inside_a_worker_thread_matches_the_calling_thread(monkeypatch):
     # batch calls run_test from its own pool's threads
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     series = c.gen_henon()
     config = c.TestConfig(num_c=50, seed=9, method="regression")
     direct = c.run_test(series, config)
@@ -668,9 +670,10 @@ def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
     assert peak < 8 * 2**20
 
 
-def test_run_test_memory_stays_near_one_row():
+def test_run_test_memory_stays_near_one_row(monkeypatch):
     # 100k samples: one angle per chunk, so the peak is a few rows' arrays,
-    # not one per angle
+    # not one per angle, and a 16-CPU host keeps as few in flight as 2 CPUs
+    monkeypatch.setattr(core, "usable_cpus", lambda: 16)
     series = c.gen_quasiperiodic(5000.0, 100_000)
     tracemalloc.start()
     try:
