@@ -167,6 +167,8 @@ def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_h
     config = _read(TestConfig, {"seed": seed, "num_c": num_c, "method": method,
                                 "aggregator": aggregator, "n0_fraction": n0_fraction,
                                 "c_low": c_low, "c_high": c_high}, "options")
+    if trajectory is not None and not 0.0 < trajectory_c < TWO_PI:
+        raise InvalidParameterError("--trajectory-c must lie strictly inside (0, 2*pi)")
     series = load_series(SeriesFile(path=input, format=fmt))
     result = run_test(series, config)
     base = Path(input).with_suffix("")

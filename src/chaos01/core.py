@@ -249,13 +249,46 @@ def translation_variables(series: TimeSeries, c: float) -> TranslationTrajectory
 
 
 def _steps(samples: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    # One row per angle: s(j) e^{ijc}, whose running sum is the path p + iq.
-    phase = angles[:, None] * np.arange(1, samples.size + 1, dtype=float)
-    steps = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=steps.real)
-    np.sin(phase, out=steps.imag)
+    """One row per angle: ``s(j) e^{ijc}``, ``j = 1 .. N``, whose running sum
+    is the path ``p + iq``.  With ``j = qB + r`` and ``B = isqrt(N) + 1``,
+    ``e^{ijc} = e^{iqBc} e^{irc}``: two tables of about ``sqrt(N)`` turns per
+    angle and one product per step, so no error carries from step to step.
+    The rows are a view into a slightly wider array."""
+    n_len = samples.size
+    width = math.isqrt(n_len) + 1
+    blocks = n_len // width + 1
+    outer = _turns(angles, np.arange(blocks, dtype=float) * width)
+    inner = _turns(angles, np.arange(width, dtype=float))
+    table = np.empty((angles.size, blocks, width), dtype=complex)
+    np.multiply(outer[:, :, None], inner[:, None, :], out=table)
+    steps = table.reshape(angles.size, -1)[:, 1:n_len + 1]
     steps *= samples
     return steps
+
+
+def _turns(angles: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``e^{ikc}`` for each angle ``c`` (rows) and integer ``k`` (columns).
+
+    ``fl(k c)`` is off by up to ``k c 2^-53``, which grows with ``k``.  So
+    each angle is split as ``c = hi + lo``, where ``hi`` keeps the leading 26
+    significant bits of ``c`` and ``lo``, the exact rest, has at most 27.
+    For an integer ``k < 2^26`` both ``k hi`` and ``k lo`` are exact, and
+    ``e^{ikc} = e^{ik hi} e^{ik lo}`` is correct to about an ulp.  Below
+    ``2^27`` only ``k lo`` rounds, by less than ``k c 2^-78`` (3e-15); above
+    that ``k hi`` rounds too, and the error is that of the direct
+    ``e^{i fl(k c)}``.
+    """
+    angles = np.ascontiguousarray(angles, dtype=float)
+    hi = (angles.view(np.uint64) & ~np.uint64(2**27 - 1)).view(float)
+    lo = angles - hi
+    return _cis(np.multiply.outer(hi, k)) * _cis(np.multiply.outer(lo, k))
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    turn = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=turn.real)
+    np.sin(phase, out=turn.imag)
+    return turn
 
 
 def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
@@ -272,7 +305,7 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
     if not 1 <= n0 < n_len:
         raise InvalidParameterError("n0 must satisfy 1 <= n0 < len(trajectory)")
     steps = np.diff([traj.p + 1j * traj.q], prepend=0.0)
-    return MsdCurve(c=traj.c, values=_msd_rows(steps, n0)[0])
+    return MsdCurve(c=traj.c, values=_msd_rows(steps, n0, _fast_len(n_len + n0))[0])
 
 
 #: Rows times FFT length per chunk of angles (one row at 100k samples).
@@ -290,12 +323,12 @@ def _fast_len(n: int) -> int:
     return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
-def _msd_rows(steps: np.ndarray, n0: int) -> np.ndarray:
+def _msd_rows(steps: np.ndarray, n0: int, size: int) -> np.ndarray:
     """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
     steps are each row; ``steps`` is overwritten.  As ``|dz|^2 = dp^2 + dq^2``,
     the sum at lag ``n`` is two tails of ``sum |z|^2`` less twice the real
-    autocorrelation, which one FFT of ``z`` padded to ``L >= N + n0`` (no lag
-    wraps) gives for all lags.  The power ``P = |Y|^2`` of a complex path has
+    autocorrelation, which one FFT of ``z`` padded to ``L = size >= N + n0``
+    (no lag wraps) gives for all lags.  The power ``P = |Y|^2`` of a complex path has
     no symmetry, but the real part of its inverse transform is the inverse
     transform of its even part ``(P[k] + P[(L - k) % L]) / 2``, a real and
     symmetric sequence, so one real inverse FFT of half length takes twice
@@ -320,7 +353,6 @@ def _msd_rows(steps: np.ndarray, n0: int) -> np.ndarray:
     level = np.cumsum(y, axis=1)
     shift = level[:, -1:] - level[:, :n0] - level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
     del level
-    size = _fast_len(n_len + n0)
     spectrum = np.fft.fft(y, size, axis=1)
     power = np.square(spectrum.real, out=spectrum.real)
     power += np.square(spectrum.imag, out=spectrum.imag)
@@ -491,11 +523,12 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
         )
 
     angles = np.array(_draw_frequencies(config))
-    rows = max(1, _CHUNK_ELEMENTS // _fast_len(n_len + n0))
+    size = _fast_len(n_len + n0)
+    rows = max(1, _CHUNK_ELEMENTS // size)
     chunks = [angles[start:start + rows] for start in range(0, angles.size, rows)]
 
     def chunk_rates(chunk: np.ndarray) -> list[GrowthRate]:
-        values = _msd_rows(_steps(series.samples, chunk), n0)
+        values = _msd_rows(_steps(series.samples, chunk), n0, size)
         if config.msd_variant is MsdVariant.CORRECTED:
             values -= oscillation_correction(chunk, n0, float(np.mean(series.samples)))
         return _growth_rates(values, chunk, config.method)

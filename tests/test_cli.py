@@ -188,6 +188,22 @@ def test_analyze_invalid_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("angle", ["7", "0", "-1"])
+def test_analyze_bad_trajectory_angle_exits_2_before_any_analysis(runner, tmp_path, monkeypatch,
+                                                                  angle):
+    calls = []
+    monkeypatch.setattr("chaos01.cli.run_test", lambda *args: calls.append(args))
+    src = _generate(runner, tmp_path, "henon")
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(main, ["analyze", str(src), "--trajectory", str(tmp_path / "t.csv"),
+                                  "--trajectory-c", angle])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert "--trajectory-c" in result.output
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_analyze_unknown_flag_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "x.csv", "--frobnicate"])
     assert result.exit_code == 2

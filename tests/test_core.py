@@ -91,6 +91,62 @@ def test_translation_increments_follow_recurrence(samples, angle):
     assert np.allclose(steps_q, np.asarray(samples)[1:] * np.sin(j * angle), atol=1e-9)
 
 
+def _worst_turn_error(mp, steps, samples, angles, js):
+    """Largest |error| of a real or imaginary part of steps[a, j - 1] against
+    s(j) e^{ijc} in 200-bit mpmath, in units of |s(j)|."""
+    worst = 0.0
+    with mp.workprec(200):
+        for row, angle in zip(steps, angles):
+            for j in js:
+                phase = mp.mpf(int(j)) * mp.mpf(float(angle))
+                s = mp.mpf(float(samples[j - 1]))
+                z = row[j - 1]
+                worst = max(worst, abs(float((mp.mpf(float(z.real)) - s * mp.cos(phase)) / s)),
+                            abs(float((mp.mpf(float(z.imag)) - s * mp.sin(phase)) / s)))
+    return worst
+
+
+def test_steps_are_within_an_ulp_at_a_million_samples():
+    # fl(j c) alone is off by up to j c 2^-53, about 5e-10 at j = 10^6
+    mp = pytest.importorskip("mpmath")
+    n_len = 10**6
+    width = math.isqrt(n_len) + 1
+    edges = {q * width + d for q in range(1, n_len // width + 1, 37) for d in (-1, 0, 1)}
+    js = sorted(j for j in edges | {1, 2, width, n_len - 1, n_len} if 1 <= j <= n_len)
+    angles = np.array([2.0 * math.pi / 50.0, 1e-7, c.TWO_PI - 1e-9])  # resonant, near 0 and 2 pi
+    samples = np.ones(n_len)
+    steps = core._steps(samples, angles)
+    assert steps.shape == (3, n_len)
+    assert _worst_turn_error(mp, steps, samples, angles, js) <= 4.5e-16
+    # a row does not depend on the other angles of its call
+    assert np.array_equal(core._steps(samples, angles[2:])[0], steps[2])
+
+
+@pytest.mark.parametrize("n_len", [1, 2, 3, 4, 15, 16, 17, 99, 100, 101, 1000])
+def test_steps_cover_every_index_at_square_and_other_lengths(n_len):
+    mp = pytest.importorskip("mpmath")
+    samples = np.random.default_rng(n_len).uniform(0.5, 2.0, n_len)
+    angles = np.array([0.3, 2.0 * math.pi / 50.0, 5.9])
+    steps = core._steps(samples, angles)
+    assert steps.shape == (3, n_len)
+    # within 4.5e-16 of the turn, then one rounding of the product by s(j)
+    error = _worst_turn_error(mp, steps, samples, angles, range(1, n_len + 1))
+    assert error <= 4.5e-16 + 2.0**-53
+
+
+def test_steps_memory_stays_near_one_row():
+    # one complex row at 100k samples is 1.53 MiB; phases as their own
+    # array would add 0.76 MiB more
+    samples = c.gen_quasiperiodic(5000.0, 100_000).samples
+    tracemalloc.start()
+    try:
+        core._steps(samples, np.array([0.7]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_time_series_validation():
     with pytest.raises(c.InvalidParameterError):
         c.TimeSeries([])
@@ -207,7 +263,7 @@ def test_msd_kernel_matches_direct_evaluation_at_odd_and_even_fft_lengths(n_len,
     assert core._fast_len(n_len + n0) == size
     angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5, 5.9])  # the second is resonant
     for series in (c.gen_sawtooth(100.0, 5000.0, n_len), c.gen_quasiperiodic(5000.0, n_len)):
-        got = core._msd_rows(core._steps(series.samples, angles), n0)
+        got = core._msd_rows(core._steps(series.samples, angles), n0, size)
         for row, angle in zip(got, angles):
             traj = c.translation_variables(series, angle)
             want = _direct_msd(traj.p, traj.q, n0)
@@ -612,9 +668,9 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
     threads = set()
     msd_rows = core._msd_rows
 
-    def spy(steps, n0):
+    def spy(steps, n0, size):
         threads.add(threading.get_ident())
-        return msd_rows(steps, n0)
+        return msd_rows(steps, n0, size)
 
     monkeypatch.setattr(core, "_msd_rows", spy)
     # let the CPU count, not the chunks-in-flight cap, set the workers
@@ -663,7 +719,7 @@ def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
     steps = core._steps(series.samples, np.array([0.7]))
     tracemalloc.start()
     try:
-        core._msd_rows(steps, n0)
+        core._msd_rows(steps, n0, core._fast_len(len(series) + n0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
