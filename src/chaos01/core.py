@@ -101,8 +101,8 @@ class TimeSeries:
             raise InvalidParameterError("samples must be non-empty")
         if not np.all(np.isfinite(samples)):
             raise InvalidParameterError("samples must be finite")
-        if self.sample_rate is not None and not self.sample_rate > 0:
-            raise InvalidParameterError("sample_rate must be positive")
+        if self.sample_rate is not None and not 0 < self.sample_rate < math.inf:
+            raise InvalidParameterError("sample_rate must be finite and positive")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -202,10 +202,15 @@ class TestConfig:
         # JSON or CLI flags do not need pre-conversion.
         for name, kind in (("method", Method), ("aggregator", Aggregator),
                            ("msd_variant", MsdVariant)):
-            try:
-                object.__setattr__(self, name, kind(getattr(self, name)))
-            except ValueError:
-                raise InvalidParameterError(f"unknown {name}: {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _check_name(kind, getattr(self, name), name))
+
+
+def _check_name(kind: type[Enum], value, name: str) -> Enum:
+    """``kind(value)``, or InvalidParameterError when ``value`` names no member."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidParameterError(f"unknown {name}: {value!r}") from None
 
 
 def _check_count(name: str, value, low: int) -> None:
@@ -446,7 +451,7 @@ def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Ag
     usable = np.array([abs(r.k) for r in rates if not r.degenerate])
     if usable.size == 0:
         raise AllDegenerateError("no usable growth rate at any probed frequency")
-    aggregator = Aggregator(aggregator)
+    aggregator = _check_name(Aggregator, aggregator, "aggregator")
     if aggregator is Aggregator.MEAN:
         return float(np.mean(usable))
     if aggregator is Aggregator.MEDIAN:

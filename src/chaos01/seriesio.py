@@ -9,10 +9,10 @@ Two text formats are understood:
   rows; timestamps must be uniformly spaced (relative tolerance 1e-6) and
   their spacing defines the sample rate.
 
-A file is read as one array by ``np.loadtxt``.  When that reader declines
-it (a value it cannot parse, a skipped or non-finite row, uneven
-timestamps), the file is re-read line by line, so that the error can name
-its line; that parser alone decides what is accepted.
+Either reader gives one table: ``np.loadtxt`` reads it whole, and when it
+declines (a value it cannot parse, a skipped or non-finite row) the line
+parser, which alone decides what is accepted, re-reads it and names the bad
+line.  The timestamp spacing is then checked once, on that table.
 
 All reals are rendered with their shortest round-trip decimal form, so a
 write/load cycle reproduces every sample bit for bit.
@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count
+from .core import (TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count,
+                   _check_name)
 from .errors import (
     MissingSampleRateError,
     NonUniformSamplingError,
@@ -62,7 +63,7 @@ class SeriesFile:
     sample_rate: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "format", SeriesFormat(self.format))
+        object.__setattr__(self, "format", _check_name(SeriesFormat, self.format, "format"))
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def _fast_table(body: list[str], columns: int) -> np.ndarray | None:
     loadtxt parses a field as ``float()`` does, but it rejects ``_`` and
     non-ASCII digits, skips empty lines (which the row count catches) and
     strips a unit separator ``\x1f`` at a field's edge, where ``float()``
-    rejects it beside a comma (so two-column callers check for it).
+    rejects it beside a comma (so callers check for it).
     """
     if not body:
         return None
@@ -112,8 +113,29 @@ def _fast_table(body: list[str], columns: int) -> np.ndarray | None:
     return table
 
 
-def _load_single_column(lines: list[str], fallback_rate: float | None) -> tuple[np.ndarray, float | None]:
-    rate = fallback_rate
+def _read_table(lines: list[str], start: int, columns: int, tabular: bool) -> np.ndarray:
+    """The rows ``lines[start:]`` as a ``(rows, columns)`` table of finite floats.
+
+    The array reader is tried first unless ``tabular`` is False; when it
+    declines, the line parser reads the rows and names the first bad line.
+    """
+    if tabular and (table := _fast_table(lines[start:], columns)) is not None:
+        return table
+    values = []
+    for i in range(start, len(lines)):
+        text = lines[i].strip()
+        if not text:
+            raise SeriesFormatError("blank line", line=i + 1)
+        fields = text.split(",") if columns > 1 else [text]
+        if len(fields) != columns:
+            raise SeriesFormatError(f"expected two comma-separated fields: {text!r}", line=i + 1)
+        values.extend(_parse_float(field, line=i + 1) for field in fields)
+    return np.array(values, dtype=float).reshape(-1, columns)
+
+
+def _load_single_column(lines: list[str], rate: float | None,
+                        tabular: bool) -> tuple[np.ndarray, float | None]:
+    """``rate`` is the one to use when the file has no rate comment."""
     start = 0
     if lines and lines[0].lstrip().startswith("#"):
         comment = lines[0].lstrip()[1:].strip()
@@ -123,53 +145,26 @@ def _load_single_column(lines: list[str], fallback_rate: float | None) -> tuple[
         if not rate > 0:
             raise SeriesFormatError("sample_rate must be positive", line=1)
         start = 1
-    table = _fast_table(lines[start:], 1)
-    if table is not None:
-        return table[:, 0], rate
-    values = []
-    for i in range(start, len(lines)):
-        text = lines[i].strip()
-        if not text:
-            raise SeriesFormatError("blank line", line=i + 1)
-        values.append(_parse_float(text, line=i + 1))
-    return np.array(values, dtype=float), rate
+    return _read_table(lines, start, 1, tabular)[:, 0], rate
 
 
 def _load_time_value(lines: list[str], tabular: bool) -> tuple[np.ndarray, float]:
-    """``tabular`` is False when the array reader must not be tried."""
     if not lines or lines[0].strip() != "time,value":
         raise SeriesFormatError("expected 'time,value' header", line=1)
-    table = _fast_table(lines[1:], 2) if tabular and len(lines) > 2 else None
-    if table is not None:
-        t = table[:, 0]
-        with np.errstate(over="ignore", invalid="ignore"):  # as in the loop: inf and nan compare False
-            dt = float(t[1] - t[0])
-            uneven = np.abs(np.diff(t) - dt) > SPACING_RTOL * dt
-        if dt > 0 and not uneven.any():
-            return np.ascontiguousarray(table[:, 1]), _rate(dt)  # a copy, so the times are freed
-    times = []
-    values = []
-    for i in range(1, len(lines)):
-        text = lines[i].strip()
-        if not text:
-            raise SeriesFormatError("blank line", line=i + 1)
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise SeriesFormatError(f"expected two comma-separated fields: {text!r}", line=i + 1)
-        times.append(_parse_float(parts[0], line=i + 1))
-        values.append(_parse_float(parts[1], line=i + 1))
-    if len(values) < 2:
+    table = _read_table(lines, 1, 2, tabular)
+    if len(table) < 2:
         raise SeriesFormatError("need at least two rows to infer the sample rate")
-    dt = times[1] - times[0]
+    t = table[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan gaps compare False
+        dt = float(t[1] - t[0])
+        uneven = np.flatnonzero(np.abs(np.diff(t) - dt) > SPACING_RTOL * dt)
     if dt <= 0:
         raise NonUniformSamplingError("timestamps must be strictly increasing", line=3)
-    for i in range(1, len(times) - 1):
-        gap = times[i + 1] - times[i]
-        if abs(gap - dt) > SPACING_RTOL * dt:
-            raise NonUniformSamplingError(
-                f"timestamp gap {gap!r} deviates from {dt!r}", line=i + 3
-            )
-    return np.array(values, dtype=float), _rate(dt)
+    if uneven.size:
+        i = int(uneven[0])
+        gap = float(t[i + 1]) - float(t[i])
+        raise NonUniformSamplingError(f"timestamp gap {gap!r} deviates from {dt!r}", line=i + 3)
+    return np.ascontiguousarray(table[:, 1]), _rate(dt)  # a copy, so the times are freed
 
 
 def _rate(dt: float) -> float:
@@ -208,7 +203,7 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
     tabular = "\x1f" not in text
     del text
     if file.format is SeriesFormat.SINGLE_COLUMN:
-        samples, rate = _load_single_column(lines, file.sample_rate)
+        samples, rate = _load_single_column(lines, file.sample_rate, tabular)
     else:
         samples, rate = _load_time_value(lines, tabular)
     if samples.size == 0:
@@ -220,7 +215,7 @@ def write_series(series: TimeSeries, path: str | Path,
                  format: SeriesFormat = SeriesFormat.SINGLE_COLUMN) -> None:
     """Serialize a series; the inverse of :func:`load_series`."""
     rate = series.sample_rate
-    if SeriesFormat(format) is SeriesFormat.SINGLE_COLUMN:
+    if _check_name(SeriesFormat, format, "format") is SeriesFormat.SINGLE_COLUMN:
         _write_table(path, None if rate is None else f"# sample_rate={rate!r}", series.samples)
     elif rate is None:
         raise MissingSampleRateError("time_value_csv needs a sample rate for the time column")

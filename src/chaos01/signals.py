@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _check_count, _check_name
 from .errors import AliasingError, DivergenceError, InvalidParameterError
 
 #: Iterates beyond this magnitude are treated as having left the attractor.
@@ -73,13 +73,12 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", GeneratorKind(self.kind))
-        if self.num_samples < 1:
-            raise InvalidParameterError("num_samples must be at least 1")
+        object.__setattr__(self, "kind", _check_name(GeneratorKind, self.kind, "kind"))
+        _check_count("num_samples", self.num_samples, 1)
         if self.kind in TIME_PARAMETERIZED and self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 5000.0)
-        if self.sample_rate is not None and not self.sample_rate > 0:
-            raise InvalidParameterError("sample_rate must be positive")
+        if self.sample_rate is not None and not 0 < self.sample_rate < math.inf:
+            raise InvalidParameterError("sample_rate must be finite and positive")
 
 
 def make_series(spec: GeneratorSpec) -> TimeSeries:

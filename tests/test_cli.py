@@ -77,6 +77,15 @@ def test_generate_unknown_kind_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("fs", ["inf", "nan"])
+def test_generate_non_finite_rate_exits_2(runner, tmp_path, fs):
+    out = tmp_path / "x.txt"
+    result = runner.invoke(main, ["generate", "--kind", "sine", "--fs", fs, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert not out.exists()
+
+
 def test_generate_seed_controls_noise(runner, tmp_path):
     a = _generate(runner, tmp_path, "uniform_random", n=50, extra=["--seed", "9"])
     text_a = a.read_text()

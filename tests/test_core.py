@@ -156,8 +156,9 @@ def test_time_series_validation():
         c.TimeSeries([1.0, float("inf")])
     with pytest.raises(c.InvalidParameterError):
         c.TimeSeries([[1.0, 2.0]])
-    with pytest.raises(c.InvalidParameterError):
-        c.TimeSeries([1.0], sample_rate=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(c.InvalidParameterError):
+            c.TimeSeries([1.0], sample_rate=bad)
 
 
 def test_time_series_samples_are_read_only():
@@ -414,6 +415,11 @@ def test_aggregate_trimmed_mean_cuts_both_tails():
 def test_aggregate_excludes_degenerate_entries():
     rates = _rates([0.2, 0.0, 0.4], degenerate={1})
     assert c.aggregate_k(rates, c.Aggregator.MEAN) == pytest.approx(0.3)
+
+
+def test_aggregate_unknown_name_raises():
+    with pytest.raises(c.InvalidParameterError):
+        c.aggregate_k(_rates([0.5]), "bogus")
 
 
 def test_aggregate_all_degenerate_raises():

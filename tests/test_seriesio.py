@@ -282,23 +282,46 @@ def test_array_reader_agrees_with_line_parser(tmp_path_factory, case):
     assert _outcome(path, fmt) == _line_parser_outcome(path, fmt)
 
 
+# 100 000 rows 4 ms apart with the timestamp 306.172 (row 76 544) left out:
+# the array reader takes the file, and the one uneven gap ends on line 76 545.
+_DEEP_GAP = "time,value\n" + "".join(f"{i / 250!r},{i % 7}.0\n" for i in range(100_001)
+                                     if i != 76_543)
+
+
 @pytest.mark.parametrize("fmt, text, expected", [
     ("single_column", "1_000\n2\n", [1000.0, 2.0]),
     ("single_column", "\u0661\u0662\n3\n", [12.0, 3.0]),
-    ("single_column", "1.5\x0c\n2.0\n", (c.SeriesFormatError, 2)),
-    ("single_column", "1.0\n\n2.0\n", (c.SeriesFormatError, 2)),
-    ("single_column", "1.0\n \u3000\n2.0\n", (c.SeriesFormatError, 2)),
-    ("single_column", "1.0\n1e400\n", (c.SeriesFormatError, 2)),
-    ("single_column", "1.0\nnan\n", (c.SeriesFormatError, 2)),
+    ("single_column", "1.5\x0c\n2.0\n", (c.SeriesFormatError, "line 2: blank line", 2)),
+    ("single_column", "1.0\n\n2.0\n", (c.SeriesFormatError, "line 2: blank line", 2)),
+    ("single_column", "1.0\n \u3000\n2.0\n", (c.SeriesFormatError, "line 2: blank line", 2)),
+    ("single_column", "1.0\n1e400\n",
+     (c.SeriesFormatError, "line 2: non-finite value: '1e400'", 2)),
+    ("single_column", "1.0\nnan\n", (c.SeriesFormatError, "line 2: non-finite value: 'nan'", 2)),
+    # a single-column row is never split at its comma
+    ("single_column", "1.0\n1,2\n", (c.SeriesFormatError, "line 2: not a number: '1,2'", 2)),
+    # both readers strip a unit separator at the edge of a line
+    ("single_column", "1.0\x1f\n2.0\n", [1.0, 2.0]),
     ("time_value_csv", "time,value\n0,1_0\n1,2\n", [10.0, 2.0]),
-    ("time_value_csv", "time,value\n0.0\x1f,1.0\n0.5,2.0\n", (c.SeriesFormatError, 2)),
-    ("time_value_csv", "time,value\n0.0,1.0\n0.5,2.0\n1.5,3.0\n", (c.NonUniformSamplingError, 4)),
-    ("time_value_csv", "time,value\n0.0,1.0\n0.0,2.0\n", (c.NonUniformSamplingError, 3)),
+    ("time_value_csv", "time,value\n0.0\x1f,1.0\n0.5,2.0\n",
+     (c.SeriesFormatError, "line 2: not a number: '0.0\\x1f'", 2)),
+    ("time_value_csv", "time,value\n0.0,1.0\n0.5,2.0\n1.5,3.0\n",
+     (c.NonUniformSamplingError, "line 4: timestamp gap 1.0 deviates from 0.5", 4)),
+    ("time_value_csv", "time,value\n0.0,1.0\n0.0,2.0\n",
+     (c.NonUniformSamplingError, "line 3: timestamps must be strictly increasing", 3)),
+    pytest.param("time_value_csv", _DEEP_GAP,
+                 (c.NonUniformSamplingError,
+                  "line 76545: timestamp gap 0.007999999999981355 deviates from 0.004", 76545),
+                 id="time_value_csv-one-gap-deep-in-100k-rows"),
     # the spacing overflows to inf, so the rate would be 1 / inf = 0
-    ("time_value_csv", "time,value\n-1.7e308,1.0\n1.7e308,2.0\n", (c.SeriesFormatError, 3)),
+    ("time_value_csv", "time,value\n-1.7e308,1.0\n1.7e308,2.0\n",
+     (c.SeriesFormatError, "line 3: timestamp spacing inf gives no finite positive sample rate", 3)),
+    # a later gap overflows to inf
+    ("time_value_csv", "time,value\n-1.7e308,1.0\n-0.5e308,2.0\n1.7e308,3.0\n",
+     (c.NonUniformSamplingError, "line 4: timestamp gap inf deviates from 1.2e+308", 4)),
     # subnormal spacing, so the rate would be 1 / 5e-324 = inf
     ("time_value_csv", "time,value\n" + "".join(f"{i * 5e-324!r},{i}.0\n" for i in range(10)),
-     (c.SeriesFormatError, 3)),
+     (c.SeriesFormatError,
+      "line 3: timestamp spacing 5e-324 gives no finite positive sample rate", 3)),
 ])
 def test_line_parser_decides_what_the_array_reader_declines(tmp_path, fmt, text, expected):
     path = tmp_path / "d.csv"
@@ -308,7 +331,24 @@ def test_line_parser_decides_what_the_array_reader_declines(tmp_path, fmt, text,
     if isinstance(expected, list):
         assert outcome[0] == np.array(expected).view(np.uint64).tolist()
     else:
-        assert outcome[0] is expected[0] and outcome[2] == expected[1]
+        assert outcome == expected
+
+
+def test_a_file_whose_only_fault_is_its_spacing_is_not_read_again_line_by_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(_DEEP_GAP)
+    with mock.patch.object(seriesio, "_parse_float", wraps=seriesio._parse_float) as parse:
+        with pytest.raises(c.NonUniformSamplingError):
+            c.load_series(c.SeriesFile(path, format="time_value_csv"))
+    assert parse.call_count == 0
+
+
+def test_unknown_format_name_raises(tmp_path):
+    with pytest.raises(c.InvalidParameterError):
+        c.SeriesFile(tmp_path / "x.csv", format="bogus")
+    with pytest.raises(c.InvalidParameterError):
+        c.write_series(c.TimeSeries([1.0]), tmp_path / "x.csv", format="bogus")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_write_time_value_requires_rate(tmp_path):

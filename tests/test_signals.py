@@ -276,9 +276,13 @@ def test_spec_defaults_sample_rate_only_for_time_kinds():
 def test_spec_validation():
     with pytest.raises(c.InvalidParameterError):
         c.GeneratorSpec(kind="sine", num_samples=0)
+    for bad in (-5.0, math.inf, math.nan):
+        with pytest.raises(c.InvalidParameterError):
+            c.GeneratorSpec(kind="sine", sample_rate=bad)
+    for bad in (2.5, True):
+        with pytest.raises(c.InvalidParameterError):
+            c.GeneratorSpec(kind="sine", num_samples=bad)
     with pytest.raises(c.InvalidParameterError):
-        c.GeneratorSpec(kind="sine", sample_rate=-5.0)
-    with pytest.raises(ValueError):
         c.GeneratorSpec(kind="square")
 
 
