@@ -253,22 +253,31 @@ def translation_variables(series: TimeSeries, c: float) -> TranslationTrajectory
     return TranslationTrajectory(c=c, p=z.real.copy(), q=z.imag.copy())
 
 
-def _steps(samples: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _steps(samples: np.ndarray, angles: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """One row per angle: ``s(j) e^{ijc}``, ``j = 1 .. N``, whose running sum
     is the path ``p + iq``.  With ``j = qB + r`` and ``B = isqrt(N) + 1``,
     ``e^{ijc} = e^{iqBc} e^{irc}``: two tables of about ``sqrt(N)`` turns per
     angle and one product per step, so no error carries from step to step.
-    The rows are a view into a slightly wider array."""
+    The rows are a view into ``table``, flat complex memory of at least
+    ``angles.size * B * (N // B + 1)`` entries (see ``_grid``), or into a new
+    array if it is not given."""
     n_len = samples.size
-    width = math.isqrt(n_len) + 1
-    blocks = n_len // width + 1
+    blocks, width = _grid(n_len)
     outer = _turns(angles, np.arange(blocks, dtype=float) * width)
     inner = _turns(angles, np.arange(width, dtype=float))
-    table = np.empty((angles.size, blocks, width), dtype=complex)
+    count = angles.size * blocks * width
+    table = np.empty(count, dtype=complex) if table is None else table[:count]
+    table = table.reshape(angles.size, blocks, width)
     np.multiply(outer[:, :, None], inner[:, None, :], out=table)
     steps = table.reshape(angles.size, -1)[:, 1:n_len + 1]
     steps *= samples
     return steps
+
+
+def _grid(n_len: int) -> tuple[int, int]:
+    """Blocks and width of each row of the table that ``_steps`` builds."""
+    width = math.isqrt(n_len) + 1
+    return n_len // width + 1, width
 
 
 def _turns(angles: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -316,8 +325,10 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
 #: Rows times FFT length per chunk of angles (one row at 100k samples).
 _CHUNK_ELEMENTS = 1 << 17
 
-#: Chunks that ``run_test`` computes at once on its threads, whatever the
-#: CPU count, so that its memory does not grow with the machine.
+#: Workers that ``run_test`` runs at once on its threads, whatever the CPU
+#: count, so that its memory does not grow with the machine.  Each worker
+#: holds one steps table and one spectrum of a chunk's size for the whole
+#: call and computes all of its chunks in them.
 _CHUNKS_IN_FLIGHT = 2
 
 
@@ -328,7 +339,8 @@ def _fast_len(n: int) -> int:
     return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
-def _msd_rows(steps: np.ndarray, n0: int, size: int) -> np.ndarray:
+def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = None,
+              spectrum: np.ndarray | None = None) -> np.ndarray:
     """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
     steps are each row; ``steps`` is overwritten.  As ``|dz|^2 = dp^2 + dq^2``,
     the sum at lag ``n`` is two tails of ``sum |z|^2`` less twice the real
@@ -337,8 +349,19 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int) -> np.ndarray:
     no symmetry, but the real part of its inverse transform is the inverse
     transform of its even part ``(P[k] + P[(L - k) % L]) / 2``, a real and
     symmetric sequence, so one real inverse FFT of half length takes twice
-    the autocorrelation from ``P[k] + P[(L - k) % L]``, ``k = 0 .. L // 2``."""
-    n_len = steps.shape[1]
+    the autocorrelation from ``P[k] + P[(L - k) % L]``, ``k = 0 .. L // 2``.
+
+    ``table`` and ``spectrum`` are flat complex scratch of at least
+    ``rows * (L // 2 + 1)`` and ``rows * L`` entries; ``table`` may be the
+    memory that holds ``steps``.  Either is allocated if not given.  Only
+    the returned rows are new memory."""
+    rows, n_len = steps.shape
+    half = size // 2
+    if table is None:
+        table = np.empty(rows * (half + 1), dtype=complex)
+    if spectrum is None:
+        spectrum = np.empty(rows * size, dtype=complex)
+    scratch = spectrum[:rows * size].view(float)
     lags = np.arange(1, n0 + 1, dtype=float)
     # Build y from the steps less their mean `drift` (the first step never
     # shows in a displacement), or a drifting path (a resonant angle) leaves
@@ -349,25 +372,26 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int) -> np.ndarray:
     y -= drift
     y[:, 0] = 0.0
     np.cumsum(y, axis=1, out=y)
-    energy = np.square(y.real)
-    energy += np.square(y.imag)
+    # The running sums of |y|^2 and of y use the spectrum's memory until the
+    # FFT needs it.
+    energy = np.square(y.real, out=scratch[:rows * n_len].reshape(rows, n_len))
+    energy += np.square(y.imag, out=scratch[rows * n_len:2 * rows * n_len].reshape(rows, n_len))
     np.cumsum(energy, axis=1, out=energy)
     ends = energy[:, -1:] - energy[:, :n0]
     ends += energy[:, n_len - n0 - 1:n_len - 1][:, ::-1]
-    del energy
-    level = np.cumsum(y, axis=1)
+    level = np.cumsum(y, axis=1, out=spectrum[:rows * n_len].reshape(rows, n_len))
     shift = level[:, -1:] - level[:, :n0] - level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
-    del level
-    spectrum = np.fft.fft(y, size, axis=1)
-    power = np.square(spectrum.real, out=spectrum.real)
-    power += np.square(spectrum.imag, out=spectrum.imag)
-    half = size // 2
-    even = power[:, :half + 1].copy()
-    even[:, 1:] += power[:, :size - half - 1:-1]
-    even[:, 0] *= 2.0
-    del spectrum, power
-    acf2 = np.fft.irfft(even, size, axis=1)[:, 1:n0 + 1]
-    del even
+    transform = np.fft.fft(y, size, axis=1, out=spectrum[:rows * size].reshape(rows, size))
+    power = np.square(transform.real, out=transform.real)
+    power += np.square(transform.imag, out=transform.imag)
+    # The even part is built where the steps were, as complex so that the
+    # inverse FFT need not cast a copy, and its output lands in the spectrum.
+    even = table[:rows * (half + 1)].reshape(rows, half + 1)
+    np.copyto(even, power[:, :half + 1])
+    even.real[:, 1:] += power[:, :size - half - 1:-1]
+    even.real[:, 0] *= 2.0
+    acf2 = np.fft.irfft(even, size, axis=1, out=scratch[:rows * size].reshape(rows, size))
+    acf2 = acf2[:, 1:n0 + 1]
     ramp = (n_len - lags) * lags**2 * (drift.real**2 + drift.imag**2)
     out = ends - acf2 + 2.0 * lags * (drift.conj() * shift).real + ramp
     # Snap rounding dust (relative to the energy scale) to exact zero so flat
@@ -529,25 +553,34 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
 
     angles = np.array(_draw_frequencies(config))
     size = _fast_len(n_len + n0)
-    rows = max(1, _CHUNK_ELEMENTS // size)
+    rows = min(angles.size, max(1, _CHUNK_ELEMENTS // size))
     chunks = [angles[start:start + rows] for start in range(0, angles.size, rows)]
-
-    def chunk_rates(chunk: np.ndarray) -> list[GrowthRate]:
-        values = _msd_rows(_steps(series.samples, chunk), n0, size)
-        if config.msd_variant is MsdVariant.CORRECTED:
-            values -= oscillation_correction(chunk, n0, float(np.mean(series.samples)))
-        return _growth_rates(values, chunk, config.method)
-
-    # numpy's FFTs and ufuncs release the GIL, so chunks on threads share the
-    # CPUs.  The pool lives for one call: a module-level one would not
-    # survive fork.
     workers = min(len(chunks), usable_cpus(), _CHUNKS_IN_FLIGHT)
+    mean = float(np.mean(series.samples))
+
+    def worker(first: int) -> list[list[GrowthRate]]:
+        # Chunks first, first + workers, ... in one pair of buffers, so that
+        # each row reuses pages rather than faulting fresh ones in.
+        table = np.empty(rows * max(math.prod(_grid(n_len)), size // 2 + 1), dtype=complex)
+        spectrum = np.empty(rows * size, dtype=complex)
+        done = []
+        for chunk in chunks[first::workers]:
+            values = _msd_rows(_steps(series.samples, chunk, table), n0, size, table, spectrum)
+            if config.msd_variant is MsdVariant.CORRECTED:
+                values -= oscillation_correction(chunk, n0, mean)
+            done.append(_growth_rates(values, chunk, config.method))
+        return done
+
+    # numpy's FFTs and ufuncs release the GIL, so workers on threads share
+    # the CPUs.  The pool lives for one call: a module-level one would not
+    # survive fork.
     if workers == 1:
-        per_chunk = [chunk_rates(chunk) for chunk in chunks]
+        per_worker = [worker(0)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(chunk_rates, chunks))
-    rates = [rate for group in per_chunk for rate in group]
+            per_worker = list(pool.map(worker, range(workers)))
+    rates = [rate for i in range(len(chunks))
+             for rate in per_worker[i % workers][i // workers]]
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

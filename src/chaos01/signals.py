@@ -75,6 +75,8 @@ class GeneratorSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", _check_name(GeneratorKind, self.kind, "kind"))
         _check_count("num_samples", self.num_samples, 1)
+        _check_count("total", self.total, 1)
+        _check_count("seed", self.seed, 0)
         if self.kind in TIME_PARAMETERIZED and self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 5000.0)
         if self.sample_rate is not None and not 0 < self.sample_rate < math.inf:

@@ -86,6 +86,15 @@ def test_generate_non_finite_rate_exits_2(runner, tmp_path, fs):
     assert not out.exists()
 
 
+def test_generate_negative_seed_exits_2(runner, tmp_path):
+    out = tmp_path / "x.txt"
+    result = runner.invoke(main, ["generate", "--kind", "uniform_random", "--n", "10",
+                                  "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert not out.exists()
+
+
 def test_generate_seed_controls_noise(runner, tmp_path):
     a = _generate(runner, tmp_path, "uniform_random", n=50, extra=["--seed", "9"])
     text_a = a.read_text()

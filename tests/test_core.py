@@ -2,6 +2,10 @@
 aggregation, classification, and the run_test driver."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -269,6 +273,27 @@ def test_msd_kernel_matches_direct_evaluation_at_odd_and_even_fft_lengths(n_len,
             traj = c.translation_variables(series, angle)
             want = _direct_msd(traj.p, traj.q, n0)
             assert np.allclose(row, want, rtol=1e-9, atol=1e-12 * want.max()), (size, angle)
+
+
+@pytest.mark.parametrize("n_len, n0, size", [(190, 53, 243), (800, 224, 1024)])  # odd, even L
+def test_msd_kernel_rows_do_not_depend_on_what_its_buffers_held(n_len, n0, size):
+    # run_test's workers reuse one table and one spectrum for every chunk
+    series = c.gen_quasiperiodic(5000.0, n_len)
+    other = c.gen_sawtooth(100.0, 5000.0, n_len)
+    angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5])
+    fresh = core._msd_rows(core._steps(series.samples, angles), n0, size)
+    table = np.full(3 * max(math.prod(core._grid(n_len)), size // 2 + 1), np.nan, dtype=complex)
+    spectrum = np.full(3 * size, np.nan, dtype=complex)
+
+    def rows(samples, chunk):
+        return core._msd_rows(core._steps(samples, chunk, table), n0, size, table, spectrum)
+
+    first = rows(series.samples, angles)  # buffers full of NaN
+    assert np.array_equal(first, fresh)
+    rows(other.samples, np.array([5.9, 1.1, 4.0]))
+    assert np.array_equal(rows(series.samples, angles), fresh)  # another chunk's data
+    assert np.array_equal(rows(series.samples, angles[1:]), fresh[1:])  # a short last chunk
+    assert np.array_equal(first, fresh)  # the rows it returned are its own memory
 
 
 def test_msd_kernel_keeps_short_lags_at_a_million_samples():
@@ -674,9 +699,9 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
     threads = set()
     msd_rows = core._msd_rows
 
-    def spy(steps, n0, size):
+    def spy(steps, n0, size, table, spectrum):
         threads.add(threading.get_ident())
-        return msd_rows(steps, n0, size)
+        return msd_rows(steps, n0, size, table, spectrum)
 
     monkeypatch.setattr(core, "_msd_rows", spy)
     # let the CPU count, not the chunks-in-flight cap, set the workers
@@ -744,3 +769,22 @@ def test_run_test_memory_stays_near_one_row(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's page faults")
+def test_run_test_rows_reuse_pages_instead_of_faulting_in_fresh_ones():
+    # 100k samples, one angle per chunk.  Per-row arrays handed back to the
+    # OS and faulted in again cost about 2900 faults a row; each worker's
+    # reused buffers leave the FFT's own scratch, about 500 a row.
+    import resource  # Unix only
+
+    def faults(num_c):
+        code = ("from chaos01 import TestConfig, gen_quasiperiodic, run_test\n"
+                f"run_test(gen_quasiperiodic(5000.0, 100_000), TestConfig(num_c={num_c}))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    assert faults(100) - faults(10) < 90_000

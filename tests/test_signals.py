@@ -284,6 +284,12 @@ def test_spec_validation():
             c.GeneratorSpec(kind="sine", num_samples=bad)
     with pytest.raises(c.InvalidParameterError):
         c.GeneratorSpec(kind="square")
+    for bad in (-1, 1.5, True):
+        with pytest.raises(c.InvalidParameterError):
+            c.GeneratorSpec(kind="uniform_random", seed=bad)
+    for bad in (0, 2.5, False):
+        with pytest.raises(c.InvalidParameterError):
+            c.GeneratorSpec(kind="henon", num_samples=2, total=bad)
 
 
 def test_spec_can_attach_rate_to_map_output():
