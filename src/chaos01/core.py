@@ -190,8 +190,9 @@ class TestConfig:
     def __post_init__(self):
         _check_count("num_c", self.num_c, 1)
         _check_count("seed", self.seed, 0)
-        if not 0.0 <= self.c_low < self.c_high <= TWO_PI:
-            raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi")
+        if not (0.0 <= self.c_low < self.c_high <= TWO_PI
+                and self.c_low < math.nextafter(self.c_high, 0.0)):
+            raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi with a float between")
         if not 0.0 <= self.trim_fraction < 0.5:
             raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
         if not 0.0 < self.n0_fraction <= 0.5:
@@ -325,10 +326,9 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
 #: Rows times FFT length per chunk of angles (one row at 100k samples).
 _CHUNK_ELEMENTS = 1 << 17
 
-#: Workers that ``run_test`` runs at once on its threads, whatever the CPU
-#: count, so that its memory does not grow with the machine.  Each worker
-#: holds one steps table and one spectrum of a chunk's size for the whole
-#: call and computes all of its chunks in them.
+#: Workers that ``run_test`` runs at once, the calling thread included,
+#: whatever the CPU count, so that its memory (one steps table and one
+#: spectrum of a chunk's size per worker) does not grow with the machine.
 _CHUNKS_IN_FLIGHT = 2
 
 
@@ -554,33 +554,32 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     angles = np.array(_draw_frequencies(config))
     size = _fast_len(n_len + n0)
     rows = min(angles.size, max(1, _CHUNK_ELEMENTS // size))
-    chunks = [angles[start:start + rows] for start in range(0, angles.size, rows)]
-    workers = min(len(chunks), usable_cpus(), _CHUNKS_IN_FLIGHT)
+    workers = min(-(-angles.size // rows), usable_cpus(), _CHUNKS_IN_FLIGHT)
     mean = float(np.mean(series.samples))
 
-    def worker(first: int) -> list[list[GrowthRate]]:
-        # Chunks first, first + workers, ... in one pair of buffers, so that
-        # each row reuses pages rather than faulting fresh ones in.
-        table = np.empty(rows * max(math.prod(_grid(n_len)), size // 2 + 1), dtype=complex)
-        spectrum = np.empty(rows * size, dtype=complex)
+    def worker(share: np.ndarray, table: np.ndarray, spectrum: np.ndarray) -> list[GrowthRate]:
         done = []
-        for chunk in chunks[first::workers]:
+        for chunk in np.split(share, range(rows, share.size, rows)):
             values = _msd_rows(_steps(series.samples, chunk, table), n0, size, table, spectrum)
             if config.msd_variant is MsdVariant.CORRECTED:
                 values -= oscillation_correction(chunk, n0, mean)
-            done.append(_growth_rates(values, chunk, config.method))
+            done += _growth_rates(values, chunk, config.method)
         return done
 
     # numpy's FFTs and ufuncs release the GIL, so workers on threads share
-    # the CPUs.  The pool lives for one call: a module-level one would not
-    # survive fork.
-    if workers == 1:
-        per_worker = [worker(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_worker = list(pool.map(worker, range(workers)))
-    rates = [rate for i in range(len(chunks))
-             for rate in per_worker[i % workers][i // workers]]
+    # the CPUs.  The caller computes the first slice and a pool thread each
+    # other one (none if there is none), in chunks of `rows` in one pair of
+    # buffers, so rows reuse pages rather than fault fresh ones in.  The
+    # caller allocates them all: pages a pool thread frees stay in its malloc
+    # arena, and a later call's thread that finds it still taken builds another.
+    # The pool lives for one call: a module-level one would not survive fork.
+    tables = [np.empty(rows * max(math.prod(_grid(n_len)), size // 2 + 1), dtype=complex)
+              for _ in range(workers)]
+    spectra = [np.empty(rows * size, dtype=complex) for _ in range(workers)]
+    first, *rest = np.array_split(angles, workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        others = pool.map(worker, rest, tables[1:], spectra[1:])
+        rates = worker(first, tables[0], spectra[0]) + [rate for done in others for rate in done]
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import json
 import os
 import subprocess
@@ -204,6 +205,23 @@ def test_analyze_invalid_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     result = runner.invoke(main, ["analyze", str(src), "--c-low", "3", "--c-high", "2"])
     assert result.exit_code == 2
+    # no float lies strictly between the two, so the draw could never finish
+    result = runner.invoke(main, ["analyze", str(src), "--c-low", "1",
+                                  "--c-high", "1.0000000000000002"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    result = runner.invoke(main, ["analyze", str(src), "--c-low", "0", "--c-high", "1e-320",
+                                  "--num-c", "4", "--out", str(tmp_path / "tiny.json")])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("rate", ["0", "-5"])
+def test_analyze_non_positive_rate_comment_exits_4(runner, tmp_path, rate):
+    src = tmp_path / "r.csv"
+    src.write_text(f"# sample_rate={rate}\n" + "0.5\n" * 600)
+    result = runner.invoke(main, ["analyze", str(src)])
+    assert result.exit_code == 4, result.output
+    assert result.output == "error: line 1: sample_rate must be positive\n"
 
 
 @pytest.mark.parametrize("angle", ["7", "0", "-1"])
@@ -349,9 +367,36 @@ def test_batch_windowed_rows(runner, tmp_path):
     assert all(row.split(",")[1] == "400" for row in rows)
 
 
+def test_batch_failed_window_becomes_an_error_row(runner, tmp_path):
+    src = tmp_path / "half.txt"
+    noise = c.gen_uniform_random(500, seed=3).samples
+    src.write_text("".join(f"{x!r}\n" for x in [0.0] * 500 + noise.tolist()))
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 8})
+    result = runner.invoke(main, ["batch", str(manifest), "--window", "500"])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader((tmp_path / "man.summary.csv").read_text().splitlines()))[1:]
+    assert len(rows) == 2
+    assert rows[0][0].endswith("half.txt@1") and rows[1][0].endswith("half.txt@501")
+    assert rows[0][1:] == ["500", "", "", "", "no usable growth rate at any probed frequency"]
+    assert rows[1][1] == "500" and rows[1][2] and rows[1][5] == ""
+
+
+def test_batch_all_windows_too_short_exits_4(runner, tmp_path):
+    src = _generate(runner, tmp_path, "uniform_random", n=6)
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
+    result = runner.invoke(main, ["batch", str(manifest), "--window", "2"])
+    assert result.exit_code == 4, result.output
+    rows = list(csv.reader((tmp_path / "man.summary.csv").read_text().splitlines()))[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[1:] == ["2", "", "", "",
+                           "need more than 2 samples for the configured lag window, got 2"]
+
+
 @pytest.mark.parametrize("flags", [
     pytest.param(["--window", "400", "--stride", "0"], id="zero-stride"),
     pytest.param(["--stride", "100"], id="stride-without-window"),
+    pytest.param(["--jobs", "0"], id="zero-jobs"),
 ])
 def test_batch_stride_without_valid_window_exits_2(runner, tmp_path, flags):
     src = _generate(runner, tmp_path, "uniform_random", n=1000)
@@ -432,6 +477,8 @@ def test_batch_concurrency_is_deterministic(runner, tmp_path):
     pytest.param({"config": {"num_c": 4, "aggregator": "mode"}}, id="unknown-aggregator"),
     pytest.param({"config": {"num_c": 4, "msd_variant": "smoothed"}}, id="unknown-msd-variant"),
     pytest.param({"config": {"num_c": 4, "c_low": "0.5"}}, id="string-c-low"),
+    pytest.param({"config": {"num_c": 4, "c_low": 0.0, "c_high": 5e-324}},
+                 id="empty-angle-range"),
     pytest.param({"config": {"num_c": 4, "bands": {"x": 1}}}, id="unknown-band"),
     pytest.param({"config": {"num_c": 4, "bands": 3}}, id="bands-not-object"),
     pytest.param({"inputs": "a.csv"}, id="inputs-string"),

@@ -495,6 +495,7 @@ def test_bands_must_be_ordered():
     {"c_low": -0.1},
     {"c_high": 7.0},
     {"c_low": 3.0, "c_high": 3.0},
+    {"c_low": 1.0, "c_high": math.nextafter(1.0, 2.0)},  # no float between: the draw never ends
     {"trim_fraction": 0.5},
     {"n0_fraction": 0.0},
     {"n0_fraction": 0.6},
@@ -714,6 +715,7 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
         results.append(c.run_test(series, config))
         assert len(threads) <= workers
         assert (threads == {calling}) == (workers == 1)
+        assert calling in threads
     first = results[0]
     for result in results[1:]:
         assert [r.c for r in result.per_c] == [r.c for r in first.per_c]

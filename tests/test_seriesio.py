@@ -37,8 +37,20 @@ def test_load_single_column_with_rate_comment(tmp_path):
 def test_load_single_column_explicit_fallback_rate(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("1.0\n2.0\n")
-    series = c.load_series(c.SeriesFile(path, sample_rate=100.0))
-    assert series.sample_rate == 100.0
+    assert c.load_series(c.SeriesFile(path, sample_rate=250.0)).sample_rate == 250.0
+    # the file's own comment wins over the fallback
+    c.write_series(c.TimeSeries([1.0, 2.0], sample_rate=10.0), path)
+    assert path.read_text().startswith("# sample_rate=10.0\n")
+    assert c.load_series(c.SeriesFile(path, sample_rate=250.0)).sample_rate == 10.0
+
+
+@pytest.mark.parametrize("rate", ["0", "-5"])
+def test_load_rejects_non_positive_rate_comment(tmp_path, rate):
+    path = tmp_path / "r.csv"
+    path.write_text(f"# sample_rate={rate}\n1.0\n2.0\n")
+    with pytest.raises(c.SeriesFormatError, match="sample_rate must be positive") as info:
+        c.load_series(path)
+    assert info.value.line == 1
 
 
 def test_load_reports_offending_line_number(tmp_path):
