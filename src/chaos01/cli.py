@@ -14,12 +14,19 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from pathlib import Path
 
 import click
+
+# When numpy loads, its OpenBLAS starts one thread per extra CPU, which
+# spins for about 0.1 s of CPU; nothing here calls BLAS.  A value the user
+# set is kept.  This must run before the imports below load numpy, which is
+# why the package imports its submodules only on first use.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .core import (

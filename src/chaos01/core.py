@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -81,7 +82,9 @@ class TimeSeries:
     Parameters
     ----------
     samples : array_like
-        Finite float values, at least one.
+        Finite float values, at least one.  Stored as a read-only view;
+        a float64 array is not copied, so writes the caller makes to it
+        later show through.
     sample_rate : float, optional
         Samples per second.  Optional because the test itself is
         parameterization-free; spectral tools require it.
@@ -103,6 +106,8 @@ class TimeSeries:
             raise InvalidParameterError("samples must be finite")
         if self.sample_rate is not None and not 0 < self.sample_rate < math.inf:
             raise InvalidParameterError("sample_rate must be finite and positive")
+        # Freeze a view, not the caller's own array, and copy nothing.
+        samples = samples.view()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -327,9 +332,13 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
 _CHUNK_ELEMENTS = 1 << 17
 
 #: Workers that ``run_test`` runs at once, the calling thread included,
-#: whatever the CPU count, so that its memory (one steps table and one
-#: spectrum of a chunk's size per worker) does not grow with the machine.
+#: whatever the CPU count, so that its memory (one workspace of a chunk's
+#: size per worker) does not grow with the machine.
 _CHUNKS_IN_FLIGHT = 2
+
+#: ``held``: the workspaces, one per worker, that this thread's last
+#: ``run_test`` call kept for its next one.
+_workspaces = threading.local()
 
 
 def _fast_len(n: int) -> int:
@@ -340,7 +349,8 @@ def _fast_len(n: int) -> int:
 
 
 def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = None,
-              spectrum: np.ndarray | None = None) -> np.ndarray:
+              spectrum: np.ndarray | None = None,
+              per_lag: np.ndarray | None = None) -> np.ndarray:
     """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
     steps are each row; ``steps`` is overwritten.  As ``|dz|^2 = dp^2 + dq^2``,
     the sum at lag ``n`` is two tails of ``sum |z|^2`` less twice the real
@@ -351,17 +361,23 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     symmetric sequence, so one real inverse FFT of half length takes twice
     the autocorrelation from ``P[k] + P[(L - k) % L]``, ``k = 0 .. L // 2``.
 
-    ``table`` and ``spectrum`` are flat complex scratch of at least
-    ``rows * (L // 2 + 1)`` and ``rows * L`` entries; ``table`` may be the
-    memory that holds ``steps``.  Either is allocated if not given.  Only
-    the returned rows are new memory."""
+    ``table``, ``spectrum`` and ``per_lag`` are flat complex scratch of at
+    least ``rows * (L // 2 + 1)``, ``rows * L`` and ``3 * rows * n0``
+    entries; ``table`` may be the memory that holds ``steps``, and
+    ``per_lag`` holds the lag-length intermediates.  Each is allocated if not
+    given.  What they held does not matter, and the returned rows are new
+    memory, so the caller may reuse all three for the next rows."""
     rows, n_len = steps.shape
     half = size // 2
     if table is None:
         table = np.empty(rows * (half + 1), dtype=complex)
     if spectrum is None:
         spectrum = np.empty(rows * size, dtype=complex)
+    if per_lag is None:
+        per_lag = np.empty(3 * rows * n0, dtype=complex)
     scratch = spectrum[:rows * size].view(float)
+    shift = per_lag[:rows * n0].reshape(rows, n0)
+    ends, ramp, out, dust = per_lag[rows * n0:3 * rows * n0].view(float).reshape(4, rows, n0)
     lags = np.arange(1, n0 + 1, dtype=float)
     # Build y from the steps less their mean `drift` (the first step never
     # shows in a displacement), or a drifting path (a resonant angle) leaves
@@ -377,10 +393,11 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     energy = np.square(y.real, out=scratch[:rows * n_len].reshape(rows, n_len))
     energy += np.square(y.imag, out=scratch[rows * n_len:2 * rows * n_len].reshape(rows, n_len))
     np.cumsum(energy, axis=1, out=energy)
-    ends = energy[:, -1:] - energy[:, :n0]
+    np.subtract(energy[:, -1:], energy[:, :n0], out=ends)
     ends += energy[:, n_len - n0 - 1:n_len - 1][:, ::-1]
     level = np.cumsum(y, axis=1, out=spectrum[:rows * n_len].reshape(rows, n_len))
-    shift = level[:, -1:] - level[:, :n0] - level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
+    np.subtract(level[:, -1:], level[:, :n0], out=shift)
+    shift -= level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
     transform = np.fft.fft(y, size, axis=1, out=spectrum[:rows * size].reshape(rows, size))
     power = np.square(transform.real, out=transform.real)
     power += np.square(transform.imag, out=transform.imag)
@@ -392,12 +409,18 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     even.real[:, 0] *= 2.0
     acf2 = np.fft.irfft(even, size, axis=1, out=scratch[:rows * size].reshape(rows, size))
     acf2 = acf2[:, 1:n0 + 1]
-    ramp = (n_len - lags) * lags**2 * (drift.real**2 + drift.imag**2)
-    out = ends - acf2 + 2.0 * lags * (drift.conj() * shift).real + ramp
+    # out = ends - acf2 + 2 lags Re(conj(drift) shift) + ramp, in that order
+    np.multiply((n_len - lags) * lags**2, drift.real**2 + drift.imag**2, out=ramp)
+    np.subtract(ends, acf2, out=out)
+    np.multiply(drift.conj(), shift, out=shift)
+    np.multiply(2.0 * lags, shift.real, out=shift.real)
+    out += shift.real
+    out += ramp
     # Snap rounding dust (relative to the energy scale) to exact zero so flat
     # trajectories stay flat, and clamp the negatives it causes; a curve whose
     # whole range is dust is made flat, or its growth rate fits the rounding.
-    dust = 1e-12 * (ends + ramp)
+    np.add(ends, ramp, out=dust)
+    dust *= 1e-12
     out[np.abs(out) <= dust] = 0.0
     np.maximum(out, 0.0, out=out)
     flat = np.ptp(out, axis=1) <= dust.max(axis=1)
@@ -557,10 +580,10 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     workers = min(-(-angles.size // rows), usable_cpus(), _CHUNKS_IN_FLIGHT)
     mean = float(np.mean(series.samples))
 
-    def worker(share: np.ndarray, table: np.ndarray, spectrum: np.ndarray) -> list[GrowthRate]:
+    def worker(share: np.ndarray, space: list[np.ndarray]) -> list[GrowthRate]:
         done = []
         for chunk in np.split(share, range(rows, share.size, rows)):
-            values = _msd_rows(_steps(series.samples, chunk, table), n0, size, table, spectrum)
+            values = _msd_rows(_steps(series.samples, chunk, space[0]), n0, size, *space)
             if config.msd_variant is MsdVariant.CORRECTED:
                 values -= oscillation_correction(chunk, n0, mean)
             done += _growth_rates(values, chunk, config.method)
@@ -568,18 +591,33 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
 
     # numpy's FFTs and ufuncs release the GIL, so workers on threads share
     # the CPUs.  The caller computes the first slice and a pool thread each
-    # other one (none if there is none), in chunks of `rows` in one pair of
-    # buffers, so rows reuse pages rather than fault fresh ones in.  The
-    # caller allocates them all: pages a pool thread frees stay in its malloc
-    # arena, and a later call's thread that finds it still taken builds another.
+    # other one (none if there is none), in chunks of `rows` in one workspace
+    # (the three buffers of `_msd_rows`), so rows reuse pages rather than
+    # fault fresh ones in.  The caller allocates them all: pages a pool thread
+    # frees stay in its malloc arena, and a later call's thread that finds it
+    # still taken builds another.  The caller keeps them for its next call,
+    # which reuses each buffer that is large enough, so a warm call maps no
+    # fresh chunk-sized memory.  Only a chunk within the budget is kept (not
+    # one row of more than about 102k samples): a thread holds at most
+    # `_CHUNKS_IN_FLIGHT` workspaces, each of about 3 * `_CHUNK_ELEMENTS`
+    # complex entries or fewer, until the thread exits.
     # The pool lives for one call: a module-level one would not survive fork.
-    tables = [np.empty(rows * max(math.prod(_grid(n_len)), size // 2 + 1), dtype=complex)
-              for _ in range(workers)]
-    spectra = [np.empty(rows * size, dtype=complex) for _ in range(workers)]
+    need = (rows * max(math.prod(_grid(n_len)), size // 2 + 1), rows * size, 3 * rows * n0)
+    keep = rows * size <= _CHUNK_ELEMENTS
+    held = getattr(_workspaces, "held", []) if keep else []
+    _workspaces.held = []
+    spaces = []
+    for index in range(workers):
+        old = held[index] if index < len(held) else [np.empty(0, dtype=complex)] * len(need)
+        spaces.append([buffer if buffer.size >= count else np.empty(count, dtype=complex)
+                       for buffer, count in zip(old, need)])
+    del held, old  # what was not reused goes now, not after the call
     first, *rest = np.array_split(angles, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        others = pool.map(worker, rest, tables[1:], spectra[1:])
-        rates = worker(first, tables[0], spectra[0]) + [rate for done in others for rate in done]
+        others = pool.map(worker, rest, spaces[1:])
+        rates = worker(first, spaces[0]) + [rate for done in others for rate in done]
+    if keep:
+        _workspaces.held = spaces
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

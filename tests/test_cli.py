@@ -653,8 +653,11 @@ def test_unknown_command_exits_2(runner):
 # running from a source tree
 
 
-def _source_tree_python(code_args):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def _source_tree_python(code_args, **environ):
+    # without the BLAS setting that importing chaos01.cli here put in this
+    # process's environment, unless the test sets one
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env.update(environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, *code_args], env=env, capture_output=True,
                           text=True, timeout=60)
 
@@ -670,3 +673,51 @@ def test_cli_import_does_not_load_scipy():
     proc = _source_tree_python(["-c", "import sys, chaos01.cli; print('scipy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    proc = _source_tree_python(["-c", "import os, sys; before = dict(os.environ); import chaos01; "
+                                "print('numpy' in sys.modules, 'chaos01.core' in sys.modules, "
+                                "dict(os.environ) == before)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    code = ("import os; before = dict(os.environ)\n"
+            "import chaos01\n"
+            "from chaos01 import *\n"
+            "from chaos01 import core, seriesio\n"
+            "assert core.run_test is chaos01.run_test is run_test\n"
+            "assert seriesio.load_series is chaos01.load_series\n"
+            "assert not [name for name in chaos01.__all__ if name not in dir(chaos01)]\n"
+            "assert all(getattr(chaos01, name) is not None for name in chaos01.__all__)\n"
+            "try:\n"
+            "    chaos01.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n"
+            "assert dict(os.environ) == before  # the library sets no variable\n"
+            "print(len(chaos01.__all__))")
+    proc = _source_tree_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(c.__all__) == len(set(c.__all__))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_import_starts_no_blas_thread():
+    # numpy's OpenBLAS would start one spinning thread per extra CPU
+    proc = _source_tree_python(["-c", "import os, sys, chaos01.cli; "
+                                "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')), "
+                                "os.environ['OPENBLAS_NUM_THREADS'])"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "1", "1"]
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    proc = _source_tree_python(["-c", "import os, chaos01.cli; "
+                                "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                               OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"

@@ -1,6 +1,7 @@
 """Unit tests for translation variables, displacement curves, growth rates,
 aggregation, classification, and the run_test driver."""
 
+import json
 import math
 import os
 import platform
@@ -171,6 +172,15 @@ def test_time_series_samples_are_read_only():
         series.samples[0] = 5.0
 
 
+def test_time_series_leaves_the_callers_array_writable_and_uncopied():
+    samples = np.zeros(5)
+    series = c.TimeSeries(samples)
+    samples[0] = 1.0
+    assert np.shares_memory(series.samples, samples)
+    assert not series.samples.flags.writeable
+    assert series.samples[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # mean square displacement
 
@@ -284,9 +294,11 @@ def test_msd_kernel_rows_do_not_depend_on_what_its_buffers_held(n_len, n0, size)
     fresh = core._msd_rows(core._steps(series.samples, angles), n0, size)
     table = np.full(3 * max(math.prod(core._grid(n_len)), size // 2 + 1), np.nan, dtype=complex)
     spectrum = np.full(3 * size, np.nan, dtype=complex)
+    per_lag = np.full(3 * 3 * n0, np.nan, dtype=complex)
 
     def rows(samples, chunk):
-        return core._msd_rows(core._steps(samples, chunk, table), n0, size, table, spectrum)
+        return core._msd_rows(core._steps(samples, chunk, table), n0, size, table, spectrum,
+                              per_lag)
 
     first = rows(series.samples, angles)  # buffers full of NaN
     assert np.array_equal(first, fresh)
@@ -700,9 +712,9 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
     threads = set()
     msd_rows = core._msd_rows
 
-    def spy(steps, n0, size, table, spectrum):
+    def spy(steps, n0, size, table, spectrum, per_lag):
         threads.add(threading.get_ident())
-        return msd_rows(steps, n0, size, table, spectrum)
+        return msd_rows(steps, n0, size, table, spectrum, per_lag)
 
     monkeypatch.setattr(core, "_msd_rows", spy)
     # let the CPU count, not the chunks-in-flight cap, set the workers
@@ -743,6 +755,92 @@ def test_run_test_inside_a_worker_thread_matches_the_calling_thread(monkeypatch)
     for result in nested:
         assert [r.k for r in result.per_c] == [r.k for r in direct.per_c]
         assert result.k_m == direct.k_m
+
+
+# ---------------------------------------------------------------------------
+# workspaces that run_test keeps from one call to the next
+
+_HELD_CONFIG = c.TestConfig(num_c=60, seed=5)  # two chunks at 2000 samples, 60 rows at 100k
+
+
+def _outcome(result):
+    return [(r.c, r.k, r.degenerate) for r in result.per_c], result.k_m
+
+
+@pytest.fixture(scope="module")
+def fresh_outcomes():
+    """Each length's outcome from its own fresh process, which holds nothing."""
+    code = ("import json, sys\n"
+            "import chaos01 as c\n"
+            "r = c.run_test(c.gen_quasiperiodic(5000.0, int(sys.argv[1])),\n"
+            "               c.TestConfig(num_c=60, seed=5))\n"
+            "print(json.dumps([[(g.c.hex(), g.k.hex(), g.degenerate) for g in r.per_c],\n"
+            "                  r.k_m.hex()]))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+    outcomes = {}
+    for n_len in (800, 2000, 100_000):
+        proc = subprocess.run([sys.executable, "-c", code, str(n_len)], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        per_c, k_m = json.loads(proc.stdout)
+        outcomes[n_len] = ([(float.fromhex(angle), float.fromhex(k), degenerate)
+                            for angle, k, degenerate in per_c], float.fromhex(k_m))
+    return outcomes
+
+
+def _run_lengths(lengths):
+    """Outcomes of one thread's calls at each length in turn, checking what it holds."""
+    done = []
+    for n_len in lengths:
+        done.append(_outcome(c.run_test(c.gen_quasiperiodic(5000.0, n_len), _HELD_CONFIG)))
+        assert 1 <= len(core._workspaces.held) <= core._CHUNKS_IN_FLIGHT
+    return done
+
+
+def test_run_test_values_do_not_depend_on_what_its_thread_held(monkeypatch, fresh_outcomes):
+    # buffers kept from a 100k call are reused, full of its data, at 2000, then
+    # those at 800, and so on
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    lengths = (100_000, 2000, 800, 2000)
+    for n_len, outcome in zip(lengths, _run_lengths(lengths)):
+        assert outcome == fresh_outcomes[n_len], n_len
+
+
+def test_run_test_values_do_not_depend_on_another_threads_workspaces(monkeypatch,
+                                                                    fresh_outcomes):
+    # batch --jobs 2: two file threads call run_test at once, each with its own
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    orders = [(100_000, 2000, 800, 2000), (2000, 800, 2000, 800)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(_run_lengths, lengths) for lengths in orders]
+        outcomes = [future.result(timeout=120) for future in futures]
+    for lengths, done in zip(orders, outcomes):
+        for n_len, outcome in zip(lengths, done):
+            assert outcome == fresh_outcomes[n_len], n_len
+
+
+def test_run_test_holds_nothing_after_a_chunk_over_the_budget(monkeypatch):
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    c.run_test(c.gen_quasiperiodic(5000.0, 2000), _HELD_CONFIG)
+    assert len(core._workspaces.held) == 2
+    c.run_test(c.gen_quasiperiodic(5000.0, 150_000), c.TestConfig(num_c=2))
+    assert core._workspaces.held == []
+
+
+def test_a_warm_run_test_allocates_no_chunk_sized_buffer(monkeypatch):
+    # at 2000 samples one chunk is a worker's whole slice, so without kept
+    # workspaces every call allocates about 5 MiB per worker
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    series = c.gen_quasiperiodic(5000.0, 2000)
+    c.run_test(series)
+    spectrum = core._workspaces.held[0][1]
+    tracemalloc.start()
+    try:
+        c.run_test(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert core._workspaces.held[0][1] is spectrum
+    assert peak < spectrum.nbytes
 
 
 def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
