@@ -17,16 +17,17 @@ import json
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from enum import Enum
 from pathlib import Path
 
 import click
 
 # When numpy loads, its OpenBLAS starts one thread per extra CPU, which
 # spins for about 0.1 s of CPU; nothing here calls BLAS.  A value the user
-# set is kept.  This must run before the imports below load numpy, which is
-# why the package imports its submodules only on first use.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# set is kept; an empty one counts as unset, as OpenBLAS reads it.  This
+# must run before the imports below load numpy, which is why the package
+# imports its submodules only on first use.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__
 from .core import (
@@ -35,6 +36,7 @@ from .core import (
     Aggregator,
     Method,
     TestConfig,
+    _check_name,
     run_test,
     translation_variables,
     usable_cpus,
@@ -80,17 +82,11 @@ class _Main(click.Group):
 
 def _read(cls, mapping, what: str):
     """Build ``cls`` from JSON-like settings, the one reader of flags and
-    manifests: a dataclass from an object of its fields, each read by type,
-    an enum from a value ("trimmed" names the trimmed mean).  Integers are
-    left to the dataclasses.  Bad keys, types and values raise InvalidParameterError."""
-    if isinstance(cls, type) and issubclass(cls, Enum):
-        try:
-            return cls("trimmed_mean" if cls is Aggregator and mapping == "trimmed" else mapping)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{what} must be one of {[m.value for m in cls]}, got {mapping!r}") from None
-    if cls is float and (isinstance(mapping, bool) or not isinstance(mapping, (int, float))):
-        raise InvalidParameterError(f"{what} must be a number, got {mapping!r}")
+    manifests: a dataclass from an object of its fields, "trimmed" as the
+    aggregator "trimmed_mean", and any other value as given, for the
+    dataclass to check.  Bad keys and shapes raise InvalidParameterError."""
+    if cls is Aggregator and mapping == "trimmed":
+        return "trimmed_mean"
     if not dataclasses.is_dataclass(cls):
         return mapping
     if not isinstance(mapping, dict):
@@ -104,6 +100,17 @@ def _read(cls, mapping, what: str):
             raise InvalidParameterError(f"{what}: {problem} keys {keys}")
     hints = typing.get_type_hints(cls)
     return cls(**{key: _read(hints[key], item, f"{what}.{key}") for key, item in mapping.items()})
+
+
+def _check_targets(inputs, targets) -> None:
+    """Raise unless each output path names a file apart from every input and
+    every other output, so that no command overwrites what it reads or writes."""
+    taken = {Path(path).resolve() for path in inputs}
+    for target in targets:
+        path = Path(target).resolve()
+        if path in taken:
+            raise InvalidParameterError(f"output path {target} is also an input or another output")
+        taken.add(path)
 
 
 @click.group(cls=_Main)
@@ -176,11 +183,13 @@ def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_h
                                 "c_low": c_low, "c_high": c_high}, "options")
     if trajectory is not None and not 0.0 < trajectory_c < TWO_PI:
         raise InvalidParameterError("--trajectory-c must lie strictly inside (0, 2*pi)")
+    base = Path(input).with_suffix("")
+    out, scatter = out or f"{base}.result.json", scatter or f"{base}.kc.csv"
+    _check_targets([input], [path for path in (out, scatter, trajectory) if path is not None])
     series = load_series(SeriesFile(path=input, format=fmt))
     result = run_test(series, config)
-    base = Path(input).with_suffix("")
-    export_result(result, out or f"{base}.result.json")
-    export_scatter(result, scatter or f"{base}.kc.csv")
+    export_result(result, out)
+    export_scatter(result, scatter)
     if trajectory is not None:
         export_trajectory(translation_variables(series, trajectory_c), trajectory)
     if result.short_series:
@@ -196,9 +205,10 @@ def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_h
               help="Spectrum CSV path [default: INPUT stem + .psd.csv].")
 def psd_command(input, fmt, out):
     """Write the normalized power spectrum of a series."""
+    target = out or f"{Path(input).with_suffix('')}.psd.csv"
+    _check_targets([input], [target])
     series = load_series(SeriesFile(path=input, format=fmt))
     estimate = compute_psd(series)
-    target = out or f"{Path(input).with_suffix('')}.psd.csv"
     export_psd(estimate, target)
     click.echo(f"wrote {target}: {estimate.frequencies.size} bins")
 
@@ -274,7 +284,7 @@ def batch(manifest, out, window, stride, jobs):
         raise InvalidParameterError('manifest "inputs" must be a list of paths, and "out" a path')
 
     base = manifest_path.parent
-    fmt = _read(SeriesFormat, doc.get("format", "single_column"), "format")
+    fmt = _check_name(SeriesFormat, doc.get("format", "single_column"), "format")
     config = _read(TestConfig, doc.get("config", {}), "config")
     plan = _read(WindowPlan, doc["window"], "window") if "window" in doc else None
     if window is not None:
@@ -284,8 +294,7 @@ def batch(manifest, out, window, stride, jobs):
 
     target = out or (base / doc["out"] if "out" in doc
                      else f"{manifest_path.with_suffix('')}.summary.csv")
-    if Path(target).resolve() in {(base / name).resolve() for name in names}:
-        raise InvalidParameterError(f"summary path {target} is also an input")
+    _check_targets([manifest_path, *(base / name for name in names)], [target])
     with open(target, "w", newline="") as handle:  # an unwritable target fails before any work
         # each run_test also runs its angle chunks on threads, so more file
         # threads than CPUs only contend

@@ -104,8 +104,7 @@ class TimeSeries:
             raise InvalidParameterError("samples must be non-empty")
         if not np.all(np.isfinite(samples)):
             raise InvalidParameterError("samples must be finite")
-        if self.sample_rate is not None and not 0 < self.sample_rate < math.inf:
-            raise InvalidParameterError("sample_rate must be finite and positive")
+        _check_rate(self.sample_rate)
         # Freeze a view, not the caller's own array, and copy nothing.
         samples = samples.view()
         samples.setflags(write=False)
@@ -168,6 +167,8 @@ class ClassificationBands:
     aperiodic_max: float = 0.8
 
     def __post_init__(self):
+        for name in ("regular_max", "quasi_periodic_max", "aperiodic_max"):
+            _check_real(name, getattr(self, name))
         if not 0.0 < self.regular_max < self.quasi_periodic_max < self.aperiodic_max:
             raise InvalidParameterError("band edges must be positive and strictly increasing")
 
@@ -195,6 +196,8 @@ class TestConfig:
     def __post_init__(self):
         _check_count("num_c", self.num_c, 1)
         _check_count("seed", self.seed, 0)
+        for name in ("c_low", "c_high", "trim_fraction", "n0_fraction"):
+            _check_real(name, getattr(self, name))
         if not (0.0 <= self.c_low < self.c_high <= TWO_PI
                 and self.c_low < math.nextafter(self.c_high, 0.0)):
             raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi with a float between")
@@ -212,17 +215,33 @@ class TestConfig:
 
 
 def _check_name(kind: type[Enum], value, name: str) -> Enum:
-    """``kind(value)``, or InvalidParameterError when ``value`` names no member."""
+    """``kind(value)``, or InvalidParameterError when ``value`` names no member.
+    The one place that turns a name into an enum member."""
     try:
         return kind(value)
     except ValueError:
-        raise InvalidParameterError(f"unknown {name}: {value!r}") from None
+        raise InvalidParameterError(
+            f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
 
 
 def _check_count(name: str, value, low: int) -> None:
     """Raise unless ``value`` is an integer, not a bool, of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise InvalidParameterError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_rate(rate) -> None:
+    """The one sample-rate rule: None, or a finite and positive real number."""
+    if rate is not None:
+        _check_real("sample_rate", rate)
+        if not 0 < rate < math.inf:
+            raise InvalidParameterError(f"sample_rate must be finite and positive, got {rate!r}")
 
 
 @dataclass(frozen=True)

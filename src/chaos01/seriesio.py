@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .core import (TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count,
-                   _check_name)
+                   _check_name, _check_rate)
 from .errors import (
     MissingSampleRateError,
     NonUniformSamplingError,
@@ -64,6 +64,7 @@ class SeriesFile:
 
     def __post_init__(self):
         object.__setattr__(self, "format", _check_name(SeriesFormat, self.format, "format"))
+        _check_rate(self.sample_rate)
 
 
 @dataclass(frozen=True)

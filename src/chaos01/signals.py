@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TimeSeries, _check_count, _check_name
+from .core import TimeSeries, _check_count, _check_name, _check_rate
 from .errors import AliasingError, DivergenceError, InvalidParameterError
 
 #: Iterates beyond this magnitude are treated as having left the attractor.
@@ -79,8 +79,7 @@ class GeneratorSpec:
         _check_count("seed", self.seed, 0)
         if self.kind in TIME_PARAMETERIZED and self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 5000.0)
-        if self.sample_rate is not None and not 0 < self.sample_rate < math.inf:
-            raise InvalidParameterError("sample_rate must be finite and positive")
+        _check_rate(self.sample_rate)
 
 
 def make_series(spec: GeneratorSpec) -> TimeSeries:
@@ -192,10 +191,8 @@ def gen_henon(a: float = 1.4, b: float = 0.3, x0: float = 0.03, y0: float = 0.03
         If an iterate exceeds 1e6 in magnitude, which signals parameters
         or initial conditions outside the attractor basin.
     """
-    if keep < 1:
-        raise InvalidParameterError("keep must be at least 1")
-    if keep > total:
-        raise InvalidParameterError("keep cannot exceed total")
+    _check_count("keep", keep, 1)
+    _check_count("total", total, keep)
     x, y = float(x0), float(y0)
     out = np.empty(total, dtype=float)
     for i in range(total):
@@ -212,7 +209,6 @@ def gen_uniform_random(n: int = 5000, seed: int = 0) -> TimeSeries:
     Uses the same portable seeded generator as the frequency draw in the
     test driver, so a seed pins the sequence across platforms.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
+    _check_count("n", n, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     return TimeSeries(rng.random(n), sample_rate=None, label="uniform_random")

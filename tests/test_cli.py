@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
@@ -429,6 +431,50 @@ def test_batch_summary_path_naming_an_input_exits_2(runner, tmp_path):
     assert src.read_bytes() == before
 
 
+@pytest.mark.parametrize("args, manifest_out", [
+    pytest.param(["analyze", "b.txt", "--out", "b.txt"], None, id="analyze-out-is-input"),
+    pytest.param(["analyze", "b.txt", "--trajectory", "b.txt"], None, id="trajectory-is-input"),
+    pytest.param(["analyze", "b.txt", "--scatter", "b.result.json"], None,
+                 id="scatter-is-default-result"),
+    pytest.param(["analyze", "b.txt", "--out", "r.json", "--scatter", "r.json"], None,
+                 id="scatter-is-result"),
+    pytest.param(["psd", "b.txt", "--out", "b.txt"], None, id="psd-out-is-input"),
+    pytest.param(["batch", "man.json", "--out", "man.json"], None, id="batch-out-is-manifest"),
+    pytest.param(["batch", "man.json"], "man.json", id="manifest-out-names-itself"),
+])
+def test_output_path_naming_an_input_or_another_output_exits_2(runner, tmp_path, monkeypatch,
+                                                                 args, manifest_out):
+    monkeypatch.chdir(tmp_path)
+    c.write_series(c.gen_uniform_random(600, seed=1), tmp_path / "b.txt")
+    extra = {} if manifest_out is None else {"out": manifest_out}
+    _write_manifest(tmp_path / "man.json", ["b.txt"], config={"num_c": 4}, **extra)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: output path ") and result.output.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+_REAL_FIELDS = ["c_low", "c_high", "trim_fraction", "n0_fraction",
+                "bands.regular_max", "bands.quasi_periodic_max", "bands.aperiodic_max"]
+
+
+@pytest.mark.parametrize("bad", ["0.3", None, True])
+@pytest.mark.parametrize("field", _REAL_FIELDS)
+def test_manifest_config_value_fails_with_the_library_message(runner, tmp_path, field, bad):
+    group, _, name = field.rpartition(".")
+    owner = c.ClassificationBands if group else c.TestConfig
+    with pytest.raises(c.InvalidParameterError) as raised:
+        owner(**{name: bad})
+    config = {"num_c": 4, **({group: {name: bad}} if group else {name: bad})}
+    c.write_series(c.gen_uniform_random(600, seed=1), tmp_path / "a.csv")
+    manifest = _write_manifest(tmp_path / "man.json", ["a.csv"], config=config)
+    result = runner.invoke(main, ["batch", str(manifest)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {raised.value}\n"
+    assert not (tmp_path / "man.summary.csv").exists()
+
+
 def test_batch_manifest_window_and_config(runner, tmp_path):
     src = _generate(runner, tmp_path, "uniform_random", n=900)
     manifest = _write_manifest(
@@ -539,21 +585,45 @@ def test_undecodable_file_exits_4_or_becomes_error_row(runner, tmp_path):
     assert rows[1].startswith(f"{bad},,,,,") and "not UTF-8" in rows[1]
 
 
-@pytest.mark.parametrize("config", [
-    c.TestConfig(),
-    c.TestConfig(num_c=6, c_low=0.5, c_high=5.0, method="regression", aggregator="median",
-                 trim_fraction=0.1, n0_fraction=0.2, seed=3, msd_variant="corrected",
-                 bands=c.ClassificationBands(0.1, 0.3, 0.9)),
-])
-def test_result_config_block_reads_back_as_manifest_config(runner, tmp_path, config):
-    src = _generate(runner, tmp_path, "uniform_random", n=600)
-    result = c.run_test(c.load_series(src), config)
-    c.export_result(result, tmp_path / "r.json")
-    block = json.loads((tmp_path / "r.json").read_text())["config"]
-    assert _read(c.TestConfig, block, "config") == config
-    manifest = _write_manifest(tmp_path / "man.json", [src.name], config=block)
-    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
-    row = (tmp_path / "man.summary.csv").read_text().splitlines()[1].split(",")
+def _real(low, high):
+    """Integers and floats in [low, high], since a float field keeps an integer as given."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
+
+
+_CONFIGS = st.builds(
+    c.TestConfig,
+    num_c=st.integers(1, 6),
+    c_low=_real(0.0, 3.0),
+    c_high=_real(3.5, c.TWO_PI),
+    method=st.sampled_from(list(c.Method)),
+    aggregator=st.sampled_from(list(c.Aggregator)),
+    trim_fraction=_real(0.0, 0.45),
+    n0_fraction=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**64),
+    msd_variant=st.sampled_from(list(c.MsdVariant)),
+    bands=st.lists(_real(0.01, 3.0), min_size=3, max_size=3, unique=True).map(
+        lambda edges: c.ClassificationBands(*sorted(edges))),
+)
+
+
+@given(config=_CONFIGS)
+@example(config=c.TestConfig())
+@example(config=c.TestConfig(num_c=6, c_low=0.5, c_high=5.0, method="regression",
+                             aggregator="median", trim_fraction=0.1, n0_fraction=0.2, seed=3,
+                             msd_variant="corrected", bands=c.ClassificationBands(0.1, 0.3, 0.9)))
+@settings(max_examples=40, deadline=None)
+def test_result_config_block_reads_back_as_manifest_config(fuzz_dir, config):
+    result = c.run_test(c.load_series(fuzz_dir / "a.csv"), config)
+    c.export_result(result, fuzz_dir / "r.json")
+    block = json.loads((fuzz_dir / "r.json").read_text())["config"]
+    read = _read(c.TestConfig, block, "config")
+    assert read == config
+    # == cannot see an integer turned into a float; the re-exported text can
+    c.export_result(dataclasses.replace(result, config=read), fuzz_dir / "again.json")
+    assert (fuzz_dir / "again.json").read_bytes() == (fuzz_dir / "r.json").read_bytes()
+    manifest = _write_manifest(fuzz_dir / "readback.json", ["a.csv"], config=block)
+    assert CliRunner().invoke(main, ["batch", str(manifest)]).exit_code == 0
+    row = (fuzz_dir / "readback.summary.csv").read_text().splitlines()[1].split(",")
     assert row[2:4] == [repr(result.k_m), result.label.value]
 
 
@@ -707,12 +777,15 @@ def test_every_public_name_resolves_and_is_listed():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_cli_import_starts_no_blas_thread():
-    # numpy's OpenBLAS would start one spinning thread per extra CPU
-    proc = _source_tree_python(["-c", "import os, sys, chaos01.cli; "
-                                "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')), "
-                                "os.environ['OPENBLAS_NUM_THREADS'])"])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "1", "1"]
+    # numpy's OpenBLAS would start one spinning thread per extra CPU; it
+    # reads an empty value as unset, and so does the CLI
+    for environ in ({}, {"OPENBLAS_NUM_THREADS": ""}):
+        proc = _source_tree_python(["-c", "import os, sys, chaos01.cli; "
+                                    "print('numpy' in sys.modules, "
+                                    "len(os.listdir('/proc/self/task')), "
+                                    "os.environ['OPENBLAS_NUM_THREADS'])"], **environ)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "1", "1"], environ
 
 
 def test_cli_keeps_a_blas_thread_count_the_user_set():

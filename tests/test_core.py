@@ -161,7 +161,7 @@ def test_time_series_validation():
         c.TimeSeries([1.0, float("inf")])
     with pytest.raises(c.InvalidParameterError):
         c.TimeSeries([[1.0, 2.0]])
-    for bad in (0.0, math.inf, math.nan):
+    for bad in (0.0, math.inf, math.nan, "5", True):
         with pytest.raises(c.InvalidParameterError):
             c.TimeSeries([1.0], sample_rate=bad)
 
@@ -498,6 +498,13 @@ def test_bands_must_be_ordered():
         c.ClassificationBands(regular_max=-0.1, quasi_periodic_max=0.5, aperiodic_max=0.8)
 
 
+@pytest.mark.parametrize("bad", ["0.1", None, True])
+@pytest.mark.parametrize("edge", ["regular_max", "quasi_periodic_max", "aperiodic_max"])
+def test_band_edges_must_be_real_numbers(edge, bad):
+    with pytest.raises(c.InvalidParameterError, match=f"^{edge} must be a real number"):
+        c.ClassificationBands(**{edge: bad})
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -523,6 +530,8 @@ def test_bands_must_be_ordered():
     {"msd_variant": "smoothed"},
     {"bands": {"regular_max": 0.1}},
     {"bands": 3},
+    *({name: bad} for name in ("c_low", "c_high", "trim_fraction", "n0_fraction")
+      for bad in ("0.3", None, True)),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(c.InvalidParameterError):

@@ -42,6 +42,9 @@ def test_load_single_column_explicit_fallback_rate(tmp_path):
     c.write_series(c.TimeSeries([1.0, 2.0], sample_rate=10.0), path)
     assert path.read_text().startswith("# sample_rate=10.0\n")
     assert c.load_series(c.SeriesFile(path, sample_rate=250.0)).sample_rate == 10.0
+    for bad in (0.0, "5", True):
+        with pytest.raises(c.InvalidParameterError):
+            c.SeriesFile(path, sample_rate=bad)
 
 
 @pytest.mark.parametrize("rate", ["0", "-5"])

@@ -209,8 +209,9 @@ def test_henon_divergence_detected():
 def test_henon_validates_keep():
     with pytest.raises(c.InvalidParameterError):
         c.gen_henon(total=10, keep=11)
-    with pytest.raises(c.InvalidParameterError):
-        c.gen_henon(total=10, keep=0)
+    for keep in (0, 2.5):
+        with pytest.raises(c.InvalidParameterError):
+            c.gen_henon(total=10, keep=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,12 @@ def test_uniform_random_range_and_size(random_series):
     assert len(random_series) == 5000
     assert random_series.samples.min() >= 0.0
     assert random_series.samples.max() <= 1.0
+
+
+def test_uniform_random_validates_n():
+    for bad in (0, 2.5, True):
+        with pytest.raises(c.InvalidParameterError):
+            c.gen_uniform_random(bad)
 
 
 def test_uniform_random_mean_is_centered():
@@ -276,7 +283,7 @@ def test_spec_defaults_sample_rate_only_for_time_kinds():
 def test_spec_validation():
     with pytest.raises(c.InvalidParameterError):
         c.GeneratorSpec(kind="sine", num_samples=0)
-    for bad in (-5.0, math.inf, math.nan):
+    for bad in (-5.0, math.inf, math.nan, "5", True):
         with pytest.raises(c.InvalidParameterError):
             c.GeneratorSpec(kind="sine", sample_rate=bad)
     for bad in (2.5, True):
