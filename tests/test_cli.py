@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
@@ -585,6 +585,31 @@ def test_undecodable_file_exits_4_or_becomes_error_row(runner, tmp_path):
     assert rows[1].startswith(f"{bad},,,,,") and "not UTF-8" in rows[1]
 
 
+@pytest.mark.parametrize("config", [
+    c.TestConfig(),
+    c.TestConfig(num_c=6, c_low=0.5, c_high=5.0, method="regression", aggregator="median",
+                 trim_fraction=0.1, n0_fraction=0.2, seed=3, msd_variant="corrected",
+                 bands=c.ClassificationBands(0.1, 0.3, 0.9)),
+])
+def test_result_config_block_reads_back_as_manifest_config(fuzz_dir, config):
+    _check_config_block_reads_back(fuzz_dir, config)
+
+
+def _check_config_block_reads_back(fuzz_dir, config):
+    result = c.run_test(c.load_series(fuzz_dir / "a.csv"), config)
+    c.export_result(result, fuzz_dir / "r.json")
+    block = json.loads((fuzz_dir / "r.json").read_text())["config"]
+    read = _read(c.TestConfig, block, "config")
+    assert read == config
+    # == cannot see an integer turned into a float; the re-exported text can
+    c.export_result(dataclasses.replace(result, config=read), fuzz_dir / "again.json")
+    assert (fuzz_dir / "again.json").read_bytes() == (fuzz_dir / "r.json").read_bytes()
+    manifest = _write_manifest(fuzz_dir / "readback.json", ["a.csv"], config=block)
+    assert CliRunner().invoke(main, ["batch", str(manifest)]).exit_code == 0
+    row = (fuzz_dir / "readback.summary.csv").read_text().splitlines()[1].split(",")
+    assert row[2:4] == [repr(result.k_m), result.label.value]
+
+
 def _real(low, high):
     """Integers and floats in [low, high], since a float field keeps an integer as given."""
     return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
@@ -607,24 +632,9 @@ _CONFIGS = st.builds(
 
 
 @given(config=_CONFIGS)
-@example(config=c.TestConfig())
-@example(config=c.TestConfig(num_c=6, c_low=0.5, c_high=5.0, method="regression",
-                             aggregator="median", trim_fraction=0.1, n0_fraction=0.2, seed=3,
-                             msd_variant="corrected", bands=c.ClassificationBands(0.1, 0.3, 0.9)))
 @settings(max_examples=40, deadline=None)
-def test_result_config_block_reads_back_as_manifest_config(fuzz_dir, config):
-    result = c.run_test(c.load_series(fuzz_dir / "a.csv"), config)
-    c.export_result(result, fuzz_dir / "r.json")
-    block = json.loads((fuzz_dir / "r.json").read_text())["config"]
-    read = _read(c.TestConfig, block, "config")
-    assert read == config
-    # == cannot see an integer turned into a float; the re-exported text can
-    c.export_result(dataclasses.replace(result, config=read), fuzz_dir / "again.json")
-    assert (fuzz_dir / "again.json").read_bytes() == (fuzz_dir / "r.json").read_bytes()
-    manifest = _write_manifest(fuzz_dir / "readback.json", ["a.csv"], config=block)
-    assert CliRunner().invoke(main, ["batch", str(manifest)]).exit_code == 0
-    row = (fuzz_dir / "readback.summary.csv").read_text().splitlines()[1].split(",")
-    assert row[2:4] == [repr(result.k_m), result.label.value]
+def test_any_result_config_block_reads_back_as_manifest_config(fuzz_dir, config):
+    _check_config_block_reads_back(fuzz_dir, config)
 
 
 @pytest.fixture(scope="module")
