@@ -11,10 +11,12 @@ parameters, 3 for I/O failures, 4 for data that cannot be analyzed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import os
+import shutil
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -70,7 +72,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (InvalidParameterError, DivergenceError) as exc:
+        except (InvalidParameterError, DivergenceError, MemoryError) as exc:
             error, code = exc, EXIT_USAGE
         except Chaos01Error as exc:  # the file's content cannot be analyzed
             error, code = exc, EXIT_DATA
@@ -111,6 +113,29 @@ def _check_targets(inputs, targets) -> None:
         if path in taken:
             raise InvalidParameterError(f"output path {target} is also an input or another output")
         taken.add(path)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle on a new file in ``path``'s directory, which replaces
+    ``path`` when the block ends and is removed if the block raises, so an
+    interrupted run leaves the old file whole.  The new file gets the mode
+    ``open(path, "w")`` would give, and a directory at ``path`` or an
+    unwritable directory fails at once."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    directory, name = os.path.split(os.path.abspath(path))
+    partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.partial")
+    handle = open(partial, "x", newline="")
+    try:
+        with handle:
+            yield handle
+        if os.path.exists(path):
+            shutil.copymode(path, partial)
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 @click.group(cls=_Main)
@@ -295,7 +320,7 @@ def batch(manifest, out, window, stride, jobs):
     target = out or (base / doc["out"] if "out" in doc
                      else f"{manifest_path.with_suffix('')}.summary.csv")
     _check_targets([manifest_path, *(base / name for name in names)], [target])
-    with open(target, "w", newline="") as handle:  # an unwritable target fails before any work
+    with _replacing(target) as handle:  # an unwritable target fails before any work
         # each run_test also runs its angle chunks on threads, so more file
         # threads than CPUs only contend
         with ThreadPoolExecutor(max_workers=min(jobs, len(names), usable_cpus())) as pool:

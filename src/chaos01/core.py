@@ -556,18 +556,22 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_frequencies(config: TestConfig) -> list[float]:
+def _draw_frequencies(config: TestConfig) -> np.ndarray:
     # PCG64 is stable across platforms and versions, so a seed pins the
     # exact frequency draw everywhere.
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    draws: list[float] = []
-    while len(draws) < config.num_c:
-        c = rng.uniform(config.c_low, config.c_high)
-        # Endpoints are measure-zero but would break the rotating frame;
-        # redraw rather than clamp so the distribution stays uniform.
-        if config.c_low < c < config.c_high:
-            draws.append(float(c))
-    return draws
+    # Endpoints are measure-zero but would break the rotating frame; redraw
+    # rather than clamp so the distribution stays uniform.  Keeping each
+    # block's accepted draws in order gives the angles that one draw at a
+    # time gives, and a block of only the missing count reads no further.
+    blocks = []
+    missing = config.num_c
+    while missing:
+        block = rng.uniform(config.c_low, config.c_high, missing)
+        block = block[(config.c_low < block) & (block < config.c_high)]
+        blocks.append(block)
+        missing -= block.size
+    return np.concatenate(blocks)
 
 
 def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult:
@@ -593,7 +597,7 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
             f"need more than {n0} samples for the configured lag window, got {n_len}"
         )
 
-    angles = np.array(_draw_frequencies(config))
+    angles = _draw_frequencies(config)
     size = _fast_len(n_len + n0)
     rows = min(angles.size, max(1, _CHUNK_ELEMENTS // size))
     workers = min(-(-angles.size // rows), usable_cpus(), _CHUNKS_IN_FLIGHT)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TimeSeries, _check_count, _check_name, _check_rate
+from .core import TimeSeries, _check_count, _check_name, _check_rate, _check_real
 from .errors import AliasingError, DivergenceError, InvalidParameterError
 
 #: Iterates beyond this magnitude are treated as having left the attractor.
@@ -77,6 +77,8 @@ class GeneratorSpec:
         _check_count("num_samples", self.num_samples, 1)
         _check_count("total", self.total, 1)
         _check_count("seed", self.seed, 0)
+        for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
+            _check_real(name, getattr(self, name))
         if self.kind in TIME_PARAMETERIZED and self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 5000.0)
         _check_rate(self.sample_rate)
@@ -107,6 +109,8 @@ def make_series(spec: GeneratorSpec) -> TimeSeries:
 
 
 def _check_tone(f: float, fs: float) -> None:
+    _check_real("f", f)
+    _check_real("fs", fs)
     if not f > 0 or not fs > 0:
         raise InvalidParameterError("f and fs must be positive")
     if f >= fs / 2:
@@ -145,6 +149,7 @@ def gen_quasiperiodic(fs: float = 5000.0, n: int = 5000) -> TimeSeries:
     The irrational frequency ratio (kept at full float precision, never a
     decimal approximation) means the waveform never exactly repeats.
     """
+    _check_real("fs", fs)
     f_hi = 100.0 * math.sqrt(2.0)
     if not fs > 2.0 * f_hi:
         raise AliasingError(f"sample rate must exceed {2 * f_hi:.1f} Hz, got {fs}")
@@ -162,6 +167,8 @@ def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
     instantaneous frequency reaches f1 at the sweep end, so fs must exceed
     2*f1 to keep the tail of the sweep below Nyquist.
     """
+    for name, value in (("f0", f0), ("f1", f1), ("sweep_time", sweep_time), ("fs", fs)):
+        _check_real(name, value)
     if not f1 > f0 >= 0.0:
         raise InvalidParameterError("need f1 > f0 >= 0")
     if not sweep_time > 0:
@@ -191,6 +198,8 @@ def gen_henon(a: float = 1.4, b: float = 0.3, x0: float = 0.03, y0: float = 0.03
         If an iterate exceeds 1e6 in magnitude, which signals parameters
         or initial conditions outside the attractor basin.
     """
+    for name, value in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
+        _check_real(name, value)
     _check_count("keep", keep, 1)
     _check_count("total", total, keep)
     x, y = float(x0), float(y0)
@@ -210,5 +219,6 @@ def gen_uniform_random(n: int = 5000, seed: int = 0) -> TimeSeries:
     test driver, so a seed pins the sequence across platforms.
     """
     _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return TimeSeries(rng.random(n), sample_rate=None, label="uniform_random")

@@ -23,23 +23,10 @@ from click.testing import CliRunner
 import chaos01 as c
 from chaos01.cli import main as cli_main
 
+import oracles
+from conftest import REFERENCE_SIGNALS
+
 SEEDS = tuple(range(20))
-
-KINDS = ("sine", "sawtooth", "quasi_periodic", "chirp", "henon", "uniform_random")
-
-
-def _signal(kind):
-    if kind == "sine":
-        return c.gen_sine(100.0, 5000.0, 5000)
-    if kind == "sawtooth":
-        return c.gen_sawtooth(100.0, 5000.0, 5000)
-    if kind == "quasi_periodic":
-        return c.gen_quasiperiodic(5000.0, 5000)
-    if kind == "chirp":
-        return c.gen_chirp(0.0, 100.0, 1.0, 5000.0)
-    if kind == "henon":
-        return c.gen_henon()
-    return c.gen_uniform_random(5000, seed=0)
 
 
 def _report(name, ok, detail=""):
@@ -51,8 +38,8 @@ def _report(name, ok, detail=""):
 def km_table():
     """K_m for all six reference signals across 20 frequency-draw seeds."""
     table = {}
-    for kind in KINDS:
-        series = _signal(kind)
+    for kind, build in REFERENCE_SIGNALS.items():
+        series = build()
         for seed in SEEDS:
             table[kind, seed] = c.run_test(series, c.TestConfig(seed=seed)).k_m
     return table
@@ -70,7 +57,7 @@ _TARGETS = {
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", list(REFERENCE_SIGNALS))
 def test_criterion_1_reference_k_m(kind, km_table):
     median = float(np.median([km_table[kind, seed] for seed in SEEDS]))
     if kind in _TARGETS:
@@ -84,7 +71,7 @@ def test_criterion_1_reference_k_m(kind, km_table):
 
 
 def test_criterion_1_runtime_budget():
-    series = _signal("quasi_periodic")
+    series = REFERENCE_SIGNALS["quasi_periodic"]()
     start = time.perf_counter()
     c.run_test(series, c.TestConfig(seed=0))
     elapsed = time.perf_counter() - start
@@ -117,24 +104,6 @@ def test_criterion_2_ordering(name, check, km_table):
 # criterion 3: equivalence with an independent re-summation oracle
 
 
-def _oracle_translation(samples, angle):
-    n = len(samples)
-    p = [sum(samples[i] * math.cos((i + 1) * angle) for i in range(k + 1)) for k in range(n)]
-    q = [sum(samples[i] * math.sin((i + 1) * angle) for i in range(k + 1)) for k in range(n)]
-    return np.array(p), np.array(q)
-
-
-def _oracle_msd(p, q, n0):
-    n = len(p)
-    out = []
-    for lag in range(1, n0 + 1):
-        total = 0.0
-        for j in range(n - lag):
-            total += (p[j + lag] - p[j]) ** 2 + (q[j + lag] - q[j]) ** 2
-        out.append(total / n)
-    return np.array(out)
-
-
 def test_criterion_3_oracle_equivalence():
     """200 random series, lengths 50-200, random angles; 1e-9 relative
     tolerance with an equal absolute floor where sums cancel to zero."""
@@ -146,12 +115,12 @@ def test_criterion_3_oracle_equivalence():
         angle = float(rng.uniform(0.05, 6.2))
         series = c.TimeSeries(samples)
         traj = c.translation_variables(series, angle)
-        p_ref, q_ref = _oracle_translation(samples, angle)
+        p_ref, q_ref = oracles.translation(samples, angle)
         assert np.allclose(traj.p, p_ref, rtol=1e-9, atol=1e-9)
         assert np.allclose(traj.q, q_ref, rtol=1e-9, atol=1e-9)
         n0 = min(20, n - 1)
         curve = c.msd(traj, n0)
-        m_ref = _oracle_msd(p_ref, q_ref, n0)
+        m_ref = oracles.msd(p_ref, q_ref, range(1, n0 + 1))
         assert np.allclose(curve.values, m_ref, rtol=1e-9, atol=1e-9)
         scale = np.maximum(np.abs(m_ref), 1.0)
         worst = max(worst, float(np.max(np.abs(curve.values - m_ref) / scale)))
@@ -185,7 +154,7 @@ def test_criterion_4_scale_invariance():
 
 
 def test_criterion_5_sawtooth_radius_is_bounded():
-    traj = c.translation_variables(_signal("sawtooth"), 2.5)
+    traj = c.translation_variables(REFERENCE_SIGNALS["sawtooth"](), 2.5)
     radius = np.hypot(traj.p, traj.q)
     r_half = radius[:2500].max()
     r_full = radius.max()
@@ -195,7 +164,7 @@ def test_criterion_5_sawtooth_radius_is_bounded():
 
 
 def test_criterion_5_henon_diffuses_at_most_angles():
-    result = c.run_test(_signal("henon"), c.TestConfig(seed=0))
+    result = c.run_test(REFERENCE_SIGNALS["henon"](), c.TestConfig(seed=0))
     strong = sum(1 for r in result.per_c if not r.degenerate and r.k > 0.9)
     _report("criterion-5[henon-diffusion]", strong >= 80,
             f"K_c > 0.9 at {strong}/100 angles (need >= 80)")
@@ -208,7 +177,7 @@ def test_criterion_5_henon_diffuses_at_most_angles():
 def test_criterion_6_repeated_analyze_is_byte_identical(tmp_path):
     runner = CliRunner()
     src = tmp_path / "q.csv"
-    c.write_series(_signal("quasi_periodic"), src)
+    c.write_series(REFERENCE_SIGNALS["quasi_periodic"](), src)
     blobs = []
     for name in ("a.json", "b.json"):
         res = runner.invoke(cli_main, [
@@ -226,7 +195,7 @@ def test_criterion_6_concurrent_batch_is_byte_identical(tmp_path):
     inputs = []
     for kind in ("sine", "quasi_periodic", "henon", "uniform_random"):
         path = tmp_path / f"{kind}.csv"
-        c.write_series(_signal(kind), path)
+        c.write_series(REFERENCE_SIGNALS[kind](), path)
         inputs.append(path.name)
     manifest = tmp_path / "man.json"
     manifest.write_text(json.dumps({"inputs": inputs, "config": {"num_c": 40}}))
@@ -273,7 +242,7 @@ def test_criterion_7_single_sample():
 
 
 def test_criterion_8_sine_peak():
-    estimate = c.psd(_signal("sine"))
+    estimate = c.psd(REFERENCE_SIGNALS["sine"]())
     peak_bin = int(np.argmax(estimate.power))
     freq = estimate.frequencies[peak_bin]
     bin_width = 5000.0 / 5000
@@ -283,7 +252,7 @@ def test_criterion_8_sine_peak():
 
 
 def test_criterion_8_quasi_periodic_two_peaks():
-    estimate = c.psd(_signal("quasi_periodic"))
+    estimate = c.psd(REFERENCE_SIGNALS["quasi_periodic"]())
     strong = np.nonzero(estimate.power > 0.5)[0]
     ok = strong.size == 2
     _report("criterion-8[quasi-periodic]", ok,

@@ -5,18 +5,18 @@ import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
 from chaos01.cli import _read, main
+
+from conftest import source_tree_python
 
 
 @pytest.fixture
@@ -420,6 +420,29 @@ def test_batch_unwritable_summary_exits_3_before_any_analysis(runner, tmp_path, 
     assert calls == []
 
 
+def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch):
+    src = _generate(runner, tmp_path, "uniform_random", n=600)
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
+    summary = tmp_path / "man.summary.csv"
+    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
+    (tmp_path / "plain.txt").write_text("")  # the mode open(path, "w") gives a new file
+    assert summary.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+    summary.chmod(0o640)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr("chaos01.cli.run_test", interrupt)
+        result = runner.invoke(main, ["batch", str(manifest)])
+    assert result.exit_code == 1 and "Aborted!" in result.output
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
+    assert summary.read_bytes() == before[summary.name]
+    assert summary.stat().st_mode & 0o777 == 0o640  # an existing summary keeps its mode
+
+
 def test_batch_summary_path_naming_an_input_exits_2(runner, tmp_path):
     src = _generate(runner, tmp_path, "uniform_random", n=600)
     before = src.read_bytes()
@@ -690,14 +713,79 @@ _MANIFESTS = _object({
 })
 
 
-@given(doc=_MANIFESTS, jobs=st.sampled_from(["1", "2"]))
+# A flag's text: a valid value, or one draw in eight a bad one.  A Path
+# names a file in the fuzz directory.
+_BAD_TEXT = st.sampled_from(["", "x", "-1", "0", "2.5", "nan", "inf", "1e999"])
+
+
+def _flag(valid):
+    return _rarely(_BAD_TEXT, valid.map(str))
+
+
+def _command(words, required, optional):
+    """``words``, then each required flag and any of the optional ones."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: [*words, *(part for flag in flags.items() for part in flag)])
+
+
+def _output(name):
+    """Mostly a path of its own; one draw in eight a missing directory or a
+    path that another output may take too."""
+    return _rarely(st.sampled_from([Path("no") / name, Path("out.json")]), st.just(Path(name)))
+
+
+# an input file with its --format, or one draw in eight a file that cannot
+# be read as given
+_SOURCES = _rarely(
+    st.sampled_from([[Path("bad.csv")], [Path("gone.csv")], [Path("b.csv")],
+                     [Path("a.csv"), "--format", "time_value_csv"], [Path("a.csv"), "--format", "x"]]),
+    st.sampled_from([[Path("a.csv")], [Path("b.csv"), "--format", "time_value_csv"]]))
+
+_COMMANDS = st.one_of(
+    _command(["generate"], {"--kind": _flag(st.sampled_from([k.value for k in c.GeneratorKind])),
+                            "--out": _output("gen.csv")}, {
+        "--f": _flag(st.floats(1.0, 1000.0)),
+        "--fs": _flag(st.floats(2000.0, 10000.0)),
+        "--n": _flag(st.integers(1, 600)),
+        "--seed": _flag(st.integers(0, 2**64)),
+    }),
+    _SOURCES.flatmap(lambda source: _command(["analyze", *source], {}, {
+        "--seed": _flag(st.integers(0, 2**64)),
+        "--num-c": _flag(st.integers(1, 8)),
+        "--method": _flag(st.sampled_from(["regression", "correlation"])),
+        "--aggregator": _flag(st.sampled_from(["mean", "median", "trimmed"])),
+        "--n0-fraction": _flag(st.floats(0.05, 0.5)),
+        "--c-low": _flag(st.floats(0.0, 3.0)),
+        "--c-high": _flag(st.floats(3.0, 6.28)),
+        "--out": _output("result.json"),
+        "--scatter": _output("kc.csv"),
+        "--trajectory": _output("pq.csv"),
+        "--trajectory-c": _flag(st.floats(0.01, 6.28)),
+    })),
+    _SOURCES.flatmap(lambda source: _command(["psd", *source], {}, {"--out": _output("psd.csv")})),
+)
+
+# 2^57 values of 8 bytes are 2^60 bytes, more than any address space, so
+# these fail at once and allocate nothing
+_HUGE = 2**57
+
+
+@given(doc=_MANIFESTS, jobs=st.sampled_from(["1", "2"]), args=_COMMANDS)
 @settings(max_examples=100, deadline=None)
-def test_batch_manifest_fuzz_exits_with_a_documented_code(fuzz_dir, doc, jobs):
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": _HUGE}}, jobs="2",
+         args=["generate", "--kind", "sine", "--n", str(_HUGE), "--out", Path("gen.csv")])
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": 1}}, jobs="1",
+         args=["analyze", Path("a.csv"), "--num-c", str(_HUGE)])
+def test_batch_manifest_fuzz_exits_with_a_documented_code(fuzz_dir, doc, jobs, args):
+    # each draw runs batch on a manifest, then generate, analyze or psd
     manifest = fuzz_dir / "man.json"
     manifest.write_text(json.dumps(doc))
-    result = CliRunner().invoke(main, ["batch", str(manifest), "--jobs", jobs])
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
-    assert result.exit_code in (0, 2, 3, 4)
+    for argv in (["batch", str(manifest), "--jobs", jobs],
+                 [str(fuzz_dir / arg) if isinstance(arg, Path) else arg for arg in args]):
+        result = CliRunner().invoke(main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+        assert result.exit_code in (0, 2, 3, 4)
+        assert result.output.count("error:") <= 1 and "Traceback" not in result.output, argv
 
 
 # ---------------------------------------------------------------------------
@@ -733,32 +821,23 @@ def test_unknown_command_exits_2(runner):
 # running from a source tree
 
 
-def _source_tree_python(code_args, **environ):
-    # without the BLAS setting that importing chaos01.cli here put in this
-    # process's environment, unless the test sets one
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env.update(environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run([sys.executable, *code_args], env=env, capture_output=True,
-                          text=True, timeout=60)
-
-
 def test_version_from_source_tree():
-    proc = _source_tree_python(["-m", "chaos01.cli", "--version"])
+    proc = source_tree_python(["-m", "chaos01.cli", "--version"])
     assert proc.returncode == 0, proc.stderr
     assert "0.1.0" in proc.stdout
 
 
 def test_cli_import_does_not_load_scipy():
     # scipy costs about a second of every CLI start
-    proc = _source_tree_python(["-c", "import sys, chaos01.cli; print('scipy' in sys.modules)"])
+    proc = source_tree_python(["-c", "import sys, chaos01.cli; print('scipy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
-    proc = _source_tree_python(["-c", "import os, sys; before = dict(os.environ); import chaos01; "
-                                "print('numpy' in sys.modules, 'chaos01.core' in sys.modules, "
-                                "dict(os.environ) == before)"])
+    proc = source_tree_python(["-c", "import os, sys; before = dict(os.environ); import chaos01; "
+                               "print('numpy' in sys.modules, 'chaos01.core' in sys.modules, "
+                               "dict(os.environ) == before)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True"]
 
@@ -780,7 +859,7 @@ def test_every_public_name_resolves_and_is_listed():
             "    raise SystemExit('no AttributeError')\n"
             "assert dict(os.environ) == before  # the library sets no variable\n"
             "print(len(chaos01.__all__))")
-    proc = _source_tree_python(["-c", code])
+    proc = source_tree_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == len(c.__all__) == len(set(c.__all__))
 
@@ -790,17 +869,17 @@ def test_cli_import_starts_no_blas_thread():
     # numpy's OpenBLAS would start one spinning thread per extra CPU; it
     # reads an empty value as unset, and so does the CLI
     for environ in ({}, {"OPENBLAS_NUM_THREADS": ""}):
-        proc = _source_tree_python(["-c", "import os, sys, chaos01.cli; "
-                                    "print('numpy' in sys.modules, "
-                                    "len(os.listdir('/proc/self/task')), "
-                                    "os.environ['OPENBLAS_NUM_THREADS'])"], **environ)
+        proc = source_tree_python(["-c", "import os, sys, chaos01.cli; "
+                                   "print('numpy' in sys.modules, "
+                                   "len(os.listdir('/proc/self/task')), "
+                                   "os.environ['OPENBLAS_NUM_THREADS'])"], **environ)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "1", "1"], environ
 
 
 def test_cli_keeps_a_blas_thread_count_the_user_set():
-    proc = _source_tree_python(["-c", "import os, chaos01.cli; "
-                                "print(os.environ['OPENBLAS_NUM_THREADS'])"],
-                               OPENBLAS_NUM_THREADS="2")
+    proc = source_tree_python(["-c", "import os, chaos01.cli; "
+                               "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                              OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2"

@@ -3,9 +3,7 @@ aggregation, classification, and the run_test driver."""
 
 import json
 import math
-import os
 import platform
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -19,28 +17,8 @@ from hypothesis import strategies as st
 import chaos01 as c
 from chaos01 import core
 
-# ---------------------------------------------------------------------------
-# oracles: independent re-summation, written against the defining sums rather
-# than the vectorized implementation
-
-
-def naive_translation(samples, angle):
-    n = len(samples)
-    p = [sum(samples[i] * math.cos((i + 1) * angle) for i in range(k + 1)) for k in range(n)]
-    q = [sum(samples[i] * math.sin((i + 1) * angle) for i in range(k + 1)) for k in range(n)]
-    return np.array(p), np.array(q)
-
-
-def naive_msd(p, q, n0):
-    n = len(p)
-    out = []
-    for lag in range(1, n0 + 1):
-        total = 0.0
-        for j in range(n - lag):
-            total += (p[j + lag] - p[j]) ** 2 + (q[j + lag] - q[j]) ** 2
-        out.append(total / n)
-    return np.array(out)
-
+import oracles
+from conftest import source_tree_python
 
 finite_samples = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=60
@@ -79,7 +57,7 @@ def test_translation_rejects_angle_outside_open_interval(angle):
 @settings(max_examples=60, deadline=None)
 def test_translation_matches_resummation(samples, angle):
     traj = c.translation_variables(c.TimeSeries(samples), angle)
-    p, q = naive_translation(samples, angle)
+    p, q = oracles.translation(samples, angle)
     assert np.allclose(traj.p, p, rtol=1e-9, atol=1e-9)
     assert np.allclose(traj.q, q, rtol=1e-9, atol=1e-9)
 
@@ -96,21 +74,6 @@ def test_translation_increments_follow_recurrence(samples, angle):
     assert np.allclose(steps_q, np.asarray(samples)[1:] * np.sin(j * angle), atol=1e-9)
 
 
-def _worst_turn_error(mp, steps, samples, angles, js):
-    """Largest |error| of a real or imaginary part of steps[a, j - 1] against
-    s(j) e^{ijc} in 200-bit mpmath, in units of |s(j)|."""
-    worst = 0.0
-    with mp.workprec(200):
-        for row, angle in zip(steps, angles):
-            for j in js:
-                phase = mp.mpf(int(j)) * mp.mpf(float(angle))
-                s = mp.mpf(float(samples[j - 1]))
-                z = row[j - 1]
-                worst = max(worst, abs(float((mp.mpf(float(z.real)) - s * mp.cos(phase)) / s)),
-                            abs(float((mp.mpf(float(z.imag)) - s * mp.sin(phase)) / s)))
-    return worst
-
-
 def test_steps_are_within_an_ulp_at_a_million_samples():
     # fl(j c) alone is off by up to j c 2^-53, about 5e-10 at j = 10^6
     mp = pytest.importorskip("mpmath")
@@ -122,7 +85,7 @@ def test_steps_are_within_an_ulp_at_a_million_samples():
     samples = np.ones(n_len)
     steps = core._steps(samples, angles)
     assert steps.shape == (3, n_len)
-    assert _worst_turn_error(mp, steps, samples, angles, js) <= 4.5e-16
+    assert oracles.worst_turn_error(mp, steps, samples, angles, js) <= 4.5e-16
     # a row does not depend on the other angles of its call
     assert np.array_equal(core._steps(samples, angles[2:])[0], steps[2])
 
@@ -135,7 +98,7 @@ def test_steps_cover_every_index_at_square_and_other_lengths(n_len):
     steps = core._steps(samples, angles)
     assert steps.shape == (3, n_len)
     # within 4.5e-16 of the turn, then one rounding of the product by s(j)
-    error = _worst_turn_error(mp, steps, samples, angles, range(1, n_len + 1))
+    error = oracles.worst_turn_error(mp, steps, samples, angles, range(1, n_len + 1))
     assert error <= 4.5e-16 + 2.0**-53
 
 
@@ -215,7 +178,7 @@ def test_msd_matches_resummation(samples, angle):
     traj = c.translation_variables(c.TimeSeries(samples), angle)
     n0 = min(12, len(samples) - 1)
     curve = c.msd(traj, n0)
-    oracle = naive_msd(traj.p, traj.q, n0)
+    oracle = oracles.msd(traj.p, traj.q, range(1, n0 + 1))
     assert np.allclose(curve.values, oracle, rtol=1e-9, atol=1e-9)
 
 
@@ -227,16 +190,6 @@ def test_msd_is_nonnegative(samples, angle):
     traj = c.translation_variables(c.TimeSeries(samples), angle)
     curve = c.msd(traj, len(samples) - 1)
     assert (curve.values >= 0.0).all()
-
-
-def _direct_msd(p, q, n0):
-    n_len = p.size
-    out = np.empty(n0)
-    for n in range(1, n0 + 1):
-        dp = p[n:] - p[:n_len - n]
-        dq = q[n:] - q[:n_len - n]
-        out[n - 1] = (dp @ dp + dq @ dq) / n_len
-    return out
 
 
 def test_msd_fast_path_matches_direct_evaluation_at_scale():
@@ -252,7 +205,7 @@ def test_msd_fast_path_matches_direct_evaluation_at_scale():
     for series, angle in cases:
         traj = c.translation_variables(series, angle)
         got = c.msd(traj, 1400).values
-        want = _direct_msd(traj.p, traj.q, 1400)
+        want = oracles.msd(traj.p, traj.q, range(1, 1401))
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * want.max()), angle
         assert (got >= 0.0).all()
 
@@ -264,7 +217,7 @@ def test_msd_kernel_matches_direct_evaluation_on_short_windows():
     for angle in (0.3, 2.0 * math.pi / 50.0, 2.5, 5.9):
         traj = c.translation_variables(series, angle)
         got = c.msd(traj, n0).values
-        want = _direct_msd(traj.p, traj.q, n0)
+        want = oracles.msd(traj.p, traj.q, range(1, n0 + 1))
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * want.max()), angle
 
 
@@ -281,7 +234,7 @@ def test_msd_kernel_matches_direct_evaluation_at_odd_and_even_fft_lengths(n_len,
         got = core._msd_rows(core._steps(series.samples, angles), n0, size)
         for row, angle in zip(got, angles):
             traj = c.translation_variables(series, angle)
-            want = _direct_msd(traj.p, traj.q, n0)
+            want = oracles.msd(traj.p, traj.q, range(1, n0 + 1))
             assert np.allclose(row, want, rtol=1e-9, atol=1e-12 * want.max()), (size, angle)
 
 
@@ -316,10 +269,8 @@ def test_msd_kernel_keeps_short_lags_at_a_million_samples():
     traj = c.translation_variables(series, 2.0 * math.pi / 50.0)
     n0 = c.lag_window(len(series), c.DEFAULT_N0_FRACTION)
     got = c.msd(traj, n0).values
-    for lag in (1, 10, 1000, n0):
-        dp = traj.p[lag:] - traj.p[:-lag]
-        dq = traj.q[lag:] - traj.q[:-lag]
-        want = (math.fsum(dp * dp) + math.fsum(dq * dq)) / len(series)
+    lags = (1, 10, 1000, n0)
+    for lag, want in zip(lags, oracles.msd(traj.p, traj.q, lags)):
         assert got[lag - 1] == pytest.approx(want, rel=1e-9), lag
 
 
@@ -580,6 +531,18 @@ def test_run_test_draws_respect_frequency_range():
     assert all(1.0 < r.c < 2.0 for r in result.per_c)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+def test_draw_matches_one_angle_at_a_time(seed):
+    # the full range, a subnormal one where a draw now and then rounds to
+    # c_low, and ranges 2 and 3 ulp wide, which reject about 1/2 and 1/3 of
+    # all draws and hold one and two floats (two, so that order shows)
+    ulp = math.ulp(1.0)
+    for c_low, c_high in ((0.0, c.TWO_PI), (0.0, 1e-320), (1.0, 1.0 + 2 * ulp),
+                          (1.0, 1.0 + 3 * ulp)):
+        config = c.TestConfig(num_c=500, c_low=c_low, c_high=c_high, seed=seed)
+        assert core._draw_frequencies(config).tolist() == oracles.draw_frequencies(config)
+
+
 def test_run_test_seed_changes_the_draw():
     series = c.gen_uniform_random(400, seed=2)
     a = c.run_test(series, c.TestConfig(num_c=10, seed=0))
@@ -670,28 +633,13 @@ def test_result_k_m_matches_recomputed_aggregate():
     assert c.recompute_k_m(result) == pytest.approx(result.k_m, abs=1e-12)
 
 
-def _per_angle_rates(series, config):
-    # run_test spelled out one angle at a time through the public stages
-    n0 = c.lag_window(len(series), config.n0_fraction)
-    mean = float(np.mean(series.samples))
-    growth = {c.Method.CORRELATION: c.growth_rate_correlation,
-              c.Method.REGRESSION: c.growth_rate_regression}[config.method]
-    rates = []
-    for reported in c.run_test(series, config).per_c:
-        values = c.msd(c.translation_variables(series, reported.c), n0).values
-        if config.msd_variant is c.MsdVariant.CORRECTED:
-            values = values - c.oscillation_correction(reported.c, n0, mean)
-        rates.append(growth(c.MsdCurve(c=reported.c, values=values)))
-    return rates
-
-
 @pytest.mark.parametrize("method", list(c.Method))
 @pytest.mark.parametrize("variant", list(c.MsdVariant))
 def test_run_test_matches_per_angle_stages(method, variant):
     series = c.TimeSeries(c.gen_sine(100.0, 5000.0, 2000).samples + 0.3)
     config = c.TestConfig(num_c=30, seed=6, method=method, msd_variant=variant)
     result = c.run_test(series, config)
-    reference = _per_angle_rates(series, config)
+    reference = oracles.per_angle_rates(series, config)
     assert [r.degenerate for r in result.per_c] == [r.degenerate for r in reference]
     assert np.allclose([r.k for r in result.per_c], [r.k for r in reference], rtol=0, atol=1e-12)
 
@@ -785,11 +733,10 @@ def fresh_outcomes():
             "               c.TestConfig(num_c=60, seed=5))\n"
             "print(json.dumps([[(g.c.hex(), g.k.hex(), g.degenerate) for g in r.per_c],\n"
             "                  r.k_m.hex()]))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
     outcomes = {}
     for n_len in (800, 2000, 100_000):
-        proc = subprocess.run([sys.executable, "-c", code, str(n_len)], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
+        proc = source_tree_python(["-c", code, str(n_len)])
+        assert proc.returncode == 0, proc.stderr
         per_c, k_m = json.loads(proc.stdout)
         outcomes[n_len] = ([(float.fromhex(angle), float.fromhex(k), degenerate)
                             for angle, k, degenerate in per_c], float.fromhex(k_m))
@@ -891,9 +838,9 @@ def test_run_test_rows_reuse_pages_instead_of_faulting_in_fresh_ones():
     def faults(num_c):
         code = ("from chaos01 import TestConfig, gen_quasiperiodic, run_test\n"
                 f"run_test(gen_quasiperiodic(5000.0, 100_000), TestConfig(num_c={num_c}))")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        proc = source_tree_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
     assert faults(100) - faults(10) < 90_000

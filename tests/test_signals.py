@@ -228,6 +228,9 @@ def test_uniform_random_validates_n():
     for bad in (0, 2.5, True):
         with pytest.raises(c.InvalidParameterError):
             c.gen_uniform_random(bad)
+    for bad in (-1, 1.5, "3"):
+        with pytest.raises(c.InvalidParameterError, match="^seed must be an integer"):
+            c.gen_uniform_random(10, seed=bad)
 
 
 def test_uniform_random_mean_is_centered():
@@ -250,6 +253,18 @@ def test_uniform_random_seed_changes_sequence():
 
 # ---------------------------------------------------------------------------
 # generator specs
+
+
+@pytest.mark.parametrize("bad", ["5", None, True])
+@pytest.mark.parametrize("generator, argument", [
+    ("gen_sine", "f"), ("gen_sine", "fs"), ("gen_sawtooth", "f"), ("gen_sawtooth", "fs"),
+    ("gen_quasiperiodic", "fs"), ("gen_chirp", "f0"), ("gen_chirp", "f1"),
+    ("gen_chirp", "sweep_time"), ("gen_chirp", "fs"), ("gen_henon", "a"), ("gen_henon", "b"),
+    ("gen_henon", "x0"), ("gen_henon", "y0"),
+])
+def test_generator_float_arguments_must_be_real_numbers(generator, argument, bad):
+    with pytest.raises(c.InvalidParameterError, match=f"^{argument} must be a real number"):
+        getattr(c, generator)(**{argument: bad})
 
 
 def test_all_generators_satisfy_series_invariants(sine_series, sawtooth_series, quasi_series,
@@ -297,6 +312,10 @@ def test_spec_validation():
     for bad in (0, 2.5, False):
         with pytest.raises(c.InvalidParameterError):
             c.GeneratorSpec(kind="henon", num_samples=2, total=bad)
+    for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
+        for bad in ("5", None, True):
+            with pytest.raises(c.InvalidParameterError, match=f"^{name} must be a real number"):
+                c.GeneratorSpec(kind="sine", **{name: bad})
 
 
 def test_spec_can_attach_rate_to_map_output():
