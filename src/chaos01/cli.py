@@ -33,11 +33,10 @@ if not os.environ.get("OPENBLAS_NUM_THREADS"):
 
 from . import __version__
 from .core import (
-    TWO_PI,
-    DEFAULT_N0_FRACTION,
     Aggregator,
     Method,
     TestConfig,
+    _check_angle,
     _check_name,
     run_test,
     translation_variables,
@@ -56,7 +55,7 @@ from .seriesio import (
     segment,
     write_series,
 )
-from .signals import GeneratorKind, GeneratorSpec, make_series
+from .signals import GeneratorKind, GeneratorSpec, _describe, make_series
 from .spectral import psd as compute_psd
 
 EXIT_USAGE = 2
@@ -64,6 +63,7 @@ EXIT_IO = 3
 EXIT_DATA = 4
 
 _FORMAT_CHOICE = click.Choice([f.value for f in SeriesFormat])
+_TRIMMED = "trimmed"  # the one name the CLI adds: an alias of Aggregator.TRIMMED_MEAN
 
 
 class _Main(click.Group):
@@ -85,10 +85,10 @@ class _Main(click.Group):
 def _read(cls, mapping, what: str):
     """Build ``cls`` from JSON-like settings, the one reader of flags and
     manifests: a dataclass from an object of its fields, "trimmed" as the
-    aggregator "trimmed_mean", and any other value as given, for the
+    aggregator TRIMMED_MEAN, and any other value as given, for the
     dataclass to check.  Bad keys and shapes raise InvalidParameterError."""
-    if cls is Aggregator and mapping == "trimmed":
-        return "trimmed_mean"
+    if cls is Aggregator and mapping == _TRIMMED:
+        return Aggregator.TRIMMED_MEAN
     if not dataclasses.is_dataclass(cls):
         return mapping
     if not isinstance(mapping, dict):
@@ -147,51 +147,40 @@ def main():
 @main.command()
 @click.option("--kind", required=True, type=click.Choice([k.value for k in GeneratorKind]),
               help="Which reference signal to produce.")
-@click.option("--f", "freq", type=float, default=100.0, show_default=True,
+@click.option("--f", "freq", type=float, default=GeneratorSpec.freq, show_default=True,
               help="Tone frequency in Hz (sine and sawtooth).")
-@click.option("--fs", type=float, default=None,
+@click.option("--fs", "sample_rate", type=float, default=None,
               help="Sample rate in Hz [default: 5000 for time-based kinds].")
-@click.option("--n", type=int, default=5000, show_default=True, help="Number of samples.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--n", "num_samples", type=int, default=GeneratorSpec.num_samples,
+              show_default=True, help="Number of samples.")
+@click.option("--seed", type=int, default=GeneratorSpec.seed, show_default=True,
               help="Seed for uniform_random.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="Output path (single_column format).")
-def generate(kind, freq, fs, n, seed, out):
+def generate(out, **fields):
     """Write one reference signal to a file."""
-    spec = GeneratorSpec(kind=kind, num_samples=n, sample_rate=fs, freq=freq, seed=seed)
+    spec = GeneratorSpec(**fields)
     series = make_series(spec)
     write_series(series, out)
-    click.echo(f"wrote {out}: kind={kind} N={len(series)} {_describe(spec)}")
-
-
-def _describe(spec: GeneratorSpec) -> str:
-    if spec.kind in (GeneratorKind.SINE, GeneratorKind.SAWTOOTH):
-        return f"f={spec.freq} fs={spec.sample_rate}"
-    if spec.kind is GeneratorKind.QUASI_PERIODIC:
-        return f"fs={spec.sample_rate}"
-    if spec.kind is GeneratorKind.CHIRP:
-        return f"f0={spec.f0} f1={spec.f1} fs={spec.sample_rate}"
-    if spec.kind is GeneratorKind.HENON:
-        return f"a={spec.a} b={spec.b} x0={spec.x0} y0={spec.y0}"
-    return f"seed={spec.seed}"
+    click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} {_describe(spec)}")
 
 
 @main.command()
 @click.argument("input", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="single_column",
+@click.option("--format", "fmt", type=_FORMAT_CHOICE, default=SeriesFile.format.value,
               show_default=True, help="Input file format.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=int, default=TestConfig.seed, show_default=True,
               help="Seed for the frequency draw.")
-@click.option("--num-c", type=int, default=100, show_default=True,
+@click.option("--num-c", type=int, default=TestConfig.num_c, show_default=True,
               help="Number of probe frequencies.")
 @click.option("--method", type=click.Choice([m.value for m in Method]),
-              default=Method.CORRELATION.value, show_default=True)
-@click.option("--aggregator", type=click.Choice(["mean", "median", "trimmed"]),
-              default="trimmed", show_default=True)
-@click.option("--n0-fraction", type=float, default=DEFAULT_N0_FRACTION, show_default=True,
+              default=TestConfig.method.value, show_default=True)
+@click.option("--aggregator", type=click.Choice([*(a.value for a in Aggregator), _TRIMMED]),
+              default=TestConfig.aggregator.value, show_default=True)
+@click.option("--n0-fraction", type=float, default=TestConfig.n0_fraction, show_default=True,
               help="Fraction of the series length used as the lag window.")
-@click.option("--c-low", type=float, default=0.0, show_default=True)
-@click.option("--c-high", type=float, default=TWO_PI, show_default=True)
+@click.option("--c-low", type=float, default=TestConfig.c_low, show_default=True)
+@click.option("--c-high", type=float, default=TestConfig.c_high, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Result JSON path [default: INPUT stem + .result.json].")
 @click.option("--scatter", type=click.Path(dir_okay=False), default=None,
@@ -200,14 +189,11 @@ def _describe(spec: GeneratorSpec) -> str:
               help="Also write the p,q trajectory CSV at --trajectory-c.")
 @click.option("--trajectory-c", type=float, default=2.5, show_default=True,
               help="Frequency for the exported trajectory.")
-def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_high,
-            out, scatter, trajectory, trajectory_c):
+def analyze(input, fmt, out, scatter, trajectory, trajectory_c, **options):
     """Run the test on one series and write result artifacts."""
-    config = _read(TestConfig, {"seed": seed, "num_c": num_c, "method": method,
-                                "aggregator": aggregator, "n0_fraction": n0_fraction,
-                                "c_low": c_low, "c_high": c_high}, "options")
-    if trajectory is not None and not 0.0 < trajectory_c < TWO_PI:
-        raise InvalidParameterError("--trajectory-c must lie strictly inside (0, 2*pi)")
+    config = _read(TestConfig, options, "options")
+    if trajectory is not None:
+        _check_angle("--trajectory-c", trajectory_c)
     base = Path(input).with_suffix("")
     out, scatter = out or f"{base}.result.json", scatter or f"{base}.kc.csv"
     _check_targets([input], [path for path in (out, scatter, trajectory) if path is not None])
@@ -224,7 +210,7 @@ def analyze(input, fmt, seed, num_c, method, aggregator, n0_fraction, c_low, c_h
 
 @main.command("psd")
 @click.argument("input", type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="single_column",
+@click.option("--format", "fmt", type=_FORMAT_CHOICE, default=SeriesFile.format.value,
               show_default=True, help="Input file format.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Spectrum CSV path [default: INPUT stem + .psd.csv].")
@@ -309,7 +295,7 @@ def batch(manifest, out, window, stride, jobs):
         raise InvalidParameterError('manifest "inputs" must be a list of paths, and "out" a path')
 
     base = manifest_path.parent
-    fmt = _check_name(SeriesFormat, doc.get("format", "single_column"), "format")
+    fmt = _check_name(SeriesFormat, doc.get("format", SeriesFile.format), "format")
     config = _read(TestConfig, doc.get("config", {}), "config")
     plan = _read(WindowPlan, doc["window"], "window") if "window" in doc else None
     if window is not None:

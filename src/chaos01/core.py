@@ -236,6 +236,12 @@ def _check_real(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_angle(name: str, value) -> None:
+    """The one probe-angle rule: strictly inside (0, 2*pi)."""
+    if not 0.0 < value < TWO_PI:
+        raise InvalidParameterError(f"{name} must lie strictly inside (0, 2*pi)")
+
+
 def _check_rate(rate) -> None:
     """The one sample-rate rule: None, or a finite and positive real number."""
     if rate is not None:
@@ -272,8 +278,7 @@ def translation_variables(series: TimeSeries, c: float) -> TranslationTrajectory
     InvalidParameterError
         If ``c`` is outside the open interval (0, 2*pi).
     """
-    if not 0.0 < c < TWO_PI:
-        raise InvalidParameterError("c must lie strictly inside (0, 2*pi)")
+    _check_angle("c", c)
     z = np.cumsum(_steps(series.samples, np.array([c]))[0])
     return TranslationTrajectory(c=c, p=z.real.copy(), q=z.imag.copy())
 

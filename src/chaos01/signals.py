@@ -84,28 +84,35 @@ class GeneratorSpec:
         _check_rate(self.sample_rate)
 
 
+#: Per kind, the spec fields that name its samples, as ``generate`` prints
+#: them, and the generator call on a spec: the one table that branches on kinds.
+_KINDS = {
+    GeneratorKind.SINE: ("f={freq} fs={sample_rate}",
+                         lambda s: gen_sine(s.freq, s.sample_rate, s.num_samples)),
+    GeneratorKind.SAWTOOTH: ("f={freq} fs={sample_rate}",
+                             lambda s: gen_sawtooth(s.freq, s.sample_rate, s.num_samples)),
+    GeneratorKind.QUASI_PERIODIC: ("fs={sample_rate}",
+                                   lambda s: gen_quasiperiodic(s.sample_rate, s.num_samples)),
+    GeneratorKind.CHIRP: ("f0={f0} f1={f1} fs={sample_rate}", lambda s: gen_chirp(
+        s.f0, s.f1, s.num_samples / s.sample_rate, s.sample_rate)),
+    GeneratorKind.HENON: ("a={a} b={b} x0={x0} y0={y0}", lambda s: gen_henon(
+        s.a, s.b, s.x0, s.y0, total=max(s.total, s.num_samples), keep=s.num_samples)),
+    GeneratorKind.UNIFORM_RANDOM: ("seed={seed}",
+                                   lambda s: gen_uniform_random(s.num_samples, s.seed)),
+}
+
+
 def make_series(spec: GeneratorSpec) -> TimeSeries:
     """Materialize a :class:`GeneratorSpec` into samples."""
-    if spec.kind is GeneratorKind.SINE:
-        return gen_sine(spec.freq, spec.sample_rate, spec.num_samples)
-    if spec.kind is GeneratorKind.SAWTOOTH:
-        return gen_sawtooth(spec.freq, spec.sample_rate, spec.num_samples)
-    if spec.kind is GeneratorKind.QUASI_PERIODIC:
-        return gen_quasiperiodic(spec.sample_rate, spec.num_samples)
-    if spec.kind is GeneratorKind.CHIRP:
-        return gen_chirp(spec.f0, spec.f1, spec.num_samples / spec.sample_rate, spec.sample_rate)
-    if spec.kind is GeneratorKind.HENON:
-        series = gen_henon(
-            spec.a, spec.b, spec.x0, spec.y0,
-            total=max(spec.total, spec.num_samples), keep=spec.num_samples,
-        )
-    else:
-        series = gen_uniform_random(spec.num_samples, spec.seed)
-    if spec.sample_rate is not None:
-        # Map/noise samples have no intrinsic clock, but a caller may still
-        # declare one so downstream spectral tools can label the axis.
+    series = _KINDS[spec.kind][1](spec)
+    if series.sample_rate != spec.sample_rate:  # a clock declared for map or noise samples
         series = TimeSeries(series.samples, spec.sample_rate, series.label)
     return series
+
+
+def _describe(spec: GeneratorSpec) -> str:
+    """The spec fields that ``spec.kind`` reads, as ``name=value`` words."""
+    return _KINDS[spec.kind][0].format_map(vars(spec))
 
 
 def _check_tone(f: float, fs: float) -> None:
