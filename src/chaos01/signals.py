@@ -127,6 +127,7 @@ def _check_tone(f: float, fs: float) -> None:
 def gen_sine(f: float = 100.0, fs: float = 5000.0, n: int = 5000) -> TimeSeries:
     """Pure tone sin(2*pi*f*t)."""
     _check_tone(f, fs)
+    _check_count("n", n, 1)
     t = np.arange(n) / fs
     return TimeSeries(np.sin(2.0 * math.pi * f * t), sample_rate=fs, label="sine")
 
@@ -140,6 +141,7 @@ def gen_sawtooth(f: float = 100.0, fs: float = 5000.0, n: int = 5000) -> TimeSer
     periodic instead of drifting by float rounding in t*f.
     """
     _check_tone(f, fs)
+    _check_count("n", n, 1)
     j = np.arange(n)
     period = fs / f
     whole = round(period)
@@ -160,6 +162,7 @@ def gen_quasiperiodic(fs: float = 5000.0, n: int = 5000) -> TimeSeries:
     f_hi = 100.0 * math.sqrt(2.0)
     if not fs > 2.0 * f_hi:
         raise AliasingError(f"sample rate must exceed {2 * f_hi:.1f} Hz, got {fs}")
+    _check_count("n", n, 1)
     t = np.arange(n) / fs
     two_pi_t = 2.0 * math.pi * t
     samples = np.cos(100.0 * two_pi_t) + np.cos(f_hi * two_pi_t)
@@ -182,6 +185,10 @@ def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
         raise InvalidParameterError("sweep_time must be positive")
     if not fs > 2.0 * f1:
         raise AliasingError(f"sweep reaches {f1} Hz; sample rate {fs} is below Nyquist")
+    # above 2**53 a float no longer counts samples one by one; inf is refused too
+    if not sweep_time * fs < 2.0**53:
+        raise InvalidParameterError(
+            f"sweep_time * fs must be below 2**53 samples, got {sweep_time * fs!r}")
     n = round(sweep_time * fs)
     if n < 1:
         raise InvalidParameterError("sweep shorter than one sample")

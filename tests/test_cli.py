@@ -107,6 +107,36 @@ def test_generate_seed_controls_noise(runner, tmp_path):
     assert text_a == b.read_text()
 
 
+#: What generate printed after "wrote PATH: " for each kind, with no flags
+#: and with --n 1200 --f 50 --fs 1000 --seed 3, before the kinds' fields
+#: moved into one table in signals.
+_GENERATE_LINES = {
+    "sine": ("N=5000 f=100.0 fs=5000.0", "N=1200 f=50.0 fs=1000.0"),
+    "sawtooth": ("N=5000 f=100.0 fs=5000.0", "N=1200 f=50.0 fs=1000.0"),
+    "quasi_periodic": ("N=5000 fs=5000.0", "N=1200 fs=1000.0"),
+    "chirp": ("N=5000 f0=0.0 f1=100.0 fs=5000.0", "N=1200 f0=0.0 f1=100.0 fs=1000.0"),
+    "henon": ("N=5000 a=1.4 b=0.3 x0=0.03 y0=0.03", "N=1200 a=1.4 b=0.3 x0=0.03 y0=0.03"),
+    "uniform_random": ("N=5000 seed=0", "N=1200 seed=3"),
+}
+
+
+@pytest.mark.parametrize("kind", list(c.GeneratorKind))
+def test_generate_defaults_are_the_spec_defaults(runner, tmp_path, kind):
+    out = _generate(runner, tmp_path, kind.value)
+    c.write_series(c.make_series(c.GeneratorSpec(kind=kind)), tmp_path / "spec.csv")
+    assert out.read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(_GENERATE_LINES))
+def test_generate_prints_each_kinds_fields(runner, tmp_path, kind):
+    out = tmp_path / "g.csv"
+    for flags, fields in zip(([], ["--n", "1200", "--f", "50", "--fs", "1000", "--seed", "3"]),
+                             _GENERATE_LINES[kind]):
+        result = runner.invoke(main, ["generate", "--kind", kind, "--out", str(out), *flags])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote {out}: kind={kind} {fields}\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -237,13 +267,34 @@ def test_analyze_bad_trajectory_angle_exits_2_before_any_analysis(runner, tmp_pa
                                   "--trajectory-c", angle])
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
-    assert "--trajectory-c" in result.output
+    assert result.output == "error: --trajectory-c must lie strictly inside (0, 2*pi)\n"
     assert calls == []
     assert sorted(tmp_path.iterdir()) == before
 
 
 def test_analyze_unknown_flag_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "x.csv", "--frobnicate"])
+    assert result.exit_code == 2
+
+
+def test_analyze_defaults_are_the_test_config_defaults(runner, tmp_path):
+    src = _generate(runner, tmp_path, "henon")
+    assert runner.invoke(main, ["analyze", str(src)]).exit_code == 0
+    block = json.loads((tmp_path / "henon.result.json").read_text())["config"]
+    assert json.dumps(block) == json.dumps(dataclasses.asdict(c.TestConfig()))
+
+
+def test_analyze_aggregator_alias_trimmed_writes_the_same_bytes(runner, tmp_path):
+    src = _generate(runner, tmp_path, "uniform_random", n=700)
+    outputs = []
+    for name in ("trimmed", "trimmed_mean"):
+        paths = [tmp_path / f"{name}.json", tmp_path / f"{name}.csv"]
+        result = runner.invoke(main, ["analyze", str(src), "--num-c", "6", "--aggregator", name,
+                                      "--out", str(paths[0]), "--scatter", str(paths[1])])
+        assert result.exit_code == 0, result.output
+        outputs.append((result.output, [path.read_bytes() for path in paths]))
+    assert outputs[0] == outputs[1]
+    result = runner.invoke(main, ["analyze", str(src), "--aggregator", "mode"])
     assert result.exit_code == 2
 
 
@@ -414,10 +465,14 @@ def test_batch_unwritable_summary_exits_3_before_any_analysis(runner, tmp_path, 
     monkeypatch.setattr("chaos01.cli.run_test", lambda *args: calls.append(args))
     src = _generate(runner, tmp_path, "uniform_random", n=600)
     manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
-    result = runner.invoke(main, ["batch", str(manifest), "--out", str(tmp_path / "nodir" / "s.csv")])
-    assert result.exit_code == 3, result.output
-    assert result.output.startswith("error: ") and result.output.count("\n") == 1
-    assert calls == []
+    (tmp_path / "man.summary.csv").mkdir()  # a directory at the default summary path
+    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+    for flags in (["--out", str(tmp_path / "nodir" / "s.csv")], []):
+        result = runner.invoke(main, ["batch", str(manifest), *flags])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert calls == []
+        assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch):

@@ -30,6 +30,15 @@ angles = st.floats(min_value=0.01, max_value=6.27)
 # translation variables
 
 
+def test_translation_angle_must_lie_strictly_inside_the_circle(random_series):
+    for c_value in (0.0, c.TWO_PI, -1.0, 7.0, math.nan):
+        with pytest.raises(c.InvalidParameterError,
+                           match=r"^c must lie strictly inside \(0, 2\*pi\)$"):
+            c.translation_variables(random_series, c_value)
+    for c_value in (5e-324, math.nextafter(c.TWO_PI, 0.0)):
+        assert len(c.translation_variables(random_series, c_value)) == len(random_series)
+
+
 def test_translation_example_quarter_turn():
     traj = c.translation_variables(c.TimeSeries([1.0, 2.0, 3.0]), math.pi / 2)
     assert np.allclose(traj.p, [0.0, -2.0, -2.0], atol=1e-12)

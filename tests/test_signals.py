@@ -7,6 +7,8 @@ import pytest
 
 import chaos01 as c
 
+from conftest import REFERENCE_SIGNALS
+
 
 # ---------------------------------------------------------------------------
 # sine
@@ -162,6 +164,12 @@ def test_chirp_parameter_validation():
         c.gen_chirp(0.0, 100.0, 0.0, 5000.0)
     with pytest.raises(c.AliasingError):
         c.gen_chirp(0.0, 3000.0, 1.0, 5000.0)
+    # a sample count no float can hold exactly, inf included
+    for sweep_time in (math.inf, 1e300):
+        with pytest.raises(c.InvalidParameterError, match=r"^sweep_time \* fs must be below"):
+            c.gen_chirp(0.0, 100.0, sweep_time, 5000.0)
+    with pytest.raises(c.InvalidParameterError, match="^sweep shorter than one sample$"):
+        c.gen_chirp(0.0, 100.0, 1e-5, 5000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +233,10 @@ def test_uniform_random_range_and_size(random_series):
 
 
 def test_uniform_random_validates_n():
-    for bad in (0, 2.5, True):
-        with pytest.raises(c.InvalidParameterError):
-            c.gen_uniform_random(bad)
+    for generator in (c.gen_sine, c.gen_sawtooth, c.gen_quasiperiodic, c.gen_uniform_random):
+        for bad in (0, 2.5, "5", True):
+            with pytest.raises(c.InvalidParameterError, match="^n must be an integer"):
+                generator(n=bad)
     for bad in (-1, 1.5, "3"):
         with pytest.raises(c.InvalidParameterError, match="^seed must be an integer"):
             c.gen_uniform_random(10, seed=bad)
@@ -281,6 +290,13 @@ def test_make_series_dispatches_every_kind(kind):
     series = c.make_series(spec)
     assert len(series) == 64
     assert series.label == kind.value
+
+
+@pytest.mark.parametrize("kind", list(REFERENCE_SIGNALS))
+def test_default_spec_makes_the_reference_signal(kind):
+    made, direct = c.make_series(c.GeneratorSpec(kind=kind)), REFERENCE_SIGNALS[kind]()
+    assert np.array_equal(made.samples, direct.samples)
+    assert (made.sample_rate, made.label) == (direct.sample_rate, direct.label)
 
 
 def test_make_series_matches_direct_generator_calls():
