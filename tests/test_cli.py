@@ -107,9 +107,9 @@ def test_generate_seed_controls_noise(runner, tmp_path):
     assert text_a == b.read_text()
 
 
-#: What generate printed after "wrote PATH: " for each kind, with no flags
-#: and with --n 1200 --f 50 --fs 1000 --seed 3, before the kinds' fields
-#: moved into one table in signals.
+#: What generate prints after "wrote PATH: " for each kind, with no flags
+#: and with --n 1200 --f 50 --fs 1000 --seed 3; pinned, so that an edit of
+#: the per-kind table in signals cannot change a printed line unseen.
 _GENERATE_LINES = {
     "sine": ("N=5000 f=100.0 fs=5000.0", "N=1200 f=50.0 fs=1000.0"),
     "sawtooth": ("N=5000 f=100.0 fs=5000.0", "N=1200 f=50.0 fs=1000.0"),
