@@ -185,11 +185,11 @@ def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
         raise InvalidParameterError("sweep_time must be positive")
     if not fs > 2.0 * f1:
         raise AliasingError(f"sweep reaches {f1} Hz; sample rate {fs} is below Nyquist")
+    count = sweep_time * fs
     # above 2**53 a float no longer counts samples one by one; inf is refused too
-    if not sweep_time * fs < 2.0**53:
-        raise InvalidParameterError(
-            f"sweep_time * fs must be below 2**53 samples, got {sweep_time * fs!r}")
-    n = round(sweep_time * fs)
+    if not count < 2.0**53:
+        raise InvalidParameterError(f"sweep_time * fs must be below 2**53 samples, got {count!r}")
+    n = round(count)
     if n < 1:
         raise InvalidParameterError("sweep shorter than one sample")
     t = np.arange(n) / fs
