@@ -55,7 +55,7 @@ from .seriesio import (
     segment,
     write_series,
 )
-from .signals import GeneratorKind, GeneratorSpec, _describe, make_series
+from .signals import _DEFAULT_RATE, GeneratorKind, GeneratorSpec, _describe, make_series
 from .spectral import psd as compute_psd
 
 EXIT_USAGE = 2
@@ -150,7 +150,7 @@ def main():
 @click.option("--f", "freq", type=float, default=GeneratorSpec.freq, show_default=True,
               help="Tone frequency in Hz (sine and sawtooth).")
 @click.option("--fs", "sample_rate", type=float, default=None,
-              help="Sample rate in Hz [default: 5000 for time-based kinds].")
+              help=f"Sample rate in Hz [default: {_DEFAULT_RATE:g} for time-based kinds].")
 @click.option("--n", "num_samples", type=int, default=GeneratorSpec.num_samples,
               show_default=True, help="Number of samples.")
 @click.option("--seed", type=int, default=GeneratorSpec.seed, show_default=True,
@@ -229,22 +229,17 @@ def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
     """Rows for one input file; failures become rows, never exceptions."""
     rows: list[list[str]] = []
     try:
+        # named by its path, on a view of the samples; segment names each window path@start
         series = load_series(SeriesFile(path=path, format=fmt))
-        if plan is None:
-            parts = [(str(path), series)]
-        else:
-            parts = [
-                (f"{path}@{i * plan.stride + 1}", window)
-                for i, window in enumerate(segment(series, plan))
-            ]
-        for name, part in parts:
+        series = dataclasses.replace(series, label=str(path))
+        for part in [series] if plan is None else segment(series, plan):
             try:
                 result = run_test(part, config)
                 degenerate = sum(r.degenerate for r in result.per_c)
-                rows.append([name, str(len(part)), repr(result.k_m),
+                rows.append([part.label, str(len(part)), repr(result.k_m),
                              result.label.value, str(degenerate), ""])
             except Chaos01Error as exc:
-                rows.append([name, str(len(part)), "", "", "", str(exc)])
+                rows.append([part.label, str(len(part)), "", "", "", str(exc)])
     except (OSError, Chaos01Error) as exc:
         rows.append([str(path), "", "", "", "", str(exc)])
     return rows

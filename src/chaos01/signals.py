@@ -21,6 +21,9 @@ from .errors import AliasingError, DivergenceError, InvalidParameterError
 #: Iterates beyond this magnitude are treated as having left the attractor.
 DIVERGENCE_LIMIT = 1.0e6
 
+#: The sample rate, in Hz, of the time kinds when none is given.
+_DEFAULT_RATE = 5000.0
+
 
 class GeneratorKind(str, Enum):
     SINE = "sine"
@@ -29,12 +32,6 @@ class GeneratorKind(str, Enum):
     CHIRP = "chirp"
     HENON = "henon"
     UNIFORM_RANDOM = "uniform_random"
-
-
-#: Kinds whose samples are positions on a time grid, requiring a sample rate.
-TIME_PARAMETERIZED = frozenset(
-    {GeneratorKind.SINE, GeneratorKind.SAWTOOTH, GeneratorKind.QUASI_PERIODIC, GeneratorKind.CHIRP}
-)
 
 
 @dataclass(frozen=True)
@@ -79,32 +76,33 @@ class GeneratorSpec:
         _check_count("seed", self.seed, 0)
         for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
             _check_real(name, getattr(self, name))
-        if self.kind in TIME_PARAMETERIZED and self.sample_rate is None:
-            object.__setattr__(self, "sample_rate", 5000.0)
+        if self.sample_rate is None:
+            object.__setattr__(self, "sample_rate", _KINDS[self.kind][1])
         _check_rate(self.sample_rate)
 
 
 #: Per kind, the spec fields that name its samples, as ``generate`` prints
-#: them, and the generator call on a spec: the one table that branches on kinds.
+#: them, its default sample rate (None: no clock) and the generator call on
+#: a spec: the one table that branches on kinds.
 _KINDS = {
-    GeneratorKind.SINE: ("f={freq} fs={sample_rate}",
+    GeneratorKind.SINE: ("f={freq} fs={sample_rate}", _DEFAULT_RATE,
                          lambda s: gen_sine(s.freq, s.sample_rate, s.num_samples)),
-    GeneratorKind.SAWTOOTH: ("f={freq} fs={sample_rate}",
+    GeneratorKind.SAWTOOTH: ("f={freq} fs={sample_rate}", _DEFAULT_RATE,
                              lambda s: gen_sawtooth(s.freq, s.sample_rate, s.num_samples)),
-    GeneratorKind.QUASI_PERIODIC: ("fs={sample_rate}",
+    GeneratorKind.QUASI_PERIODIC: ("fs={sample_rate}", _DEFAULT_RATE,
                                    lambda s: gen_quasiperiodic(s.sample_rate, s.num_samples)),
-    GeneratorKind.CHIRP: ("f0={f0} f1={f1} fs={sample_rate}", lambda s: gen_chirp(
+    GeneratorKind.CHIRP: ("f0={f0} f1={f1} fs={sample_rate}", _DEFAULT_RATE, lambda s: gen_chirp(
         s.f0, s.f1, s.num_samples / s.sample_rate, s.sample_rate)),
-    GeneratorKind.HENON: ("a={a} b={b} x0={x0} y0={y0}", lambda s: gen_henon(
+    GeneratorKind.HENON: ("a={a} b={b} x0={x0} y0={y0}", None, lambda s: gen_henon(
         s.a, s.b, s.x0, s.y0, total=max(s.total, s.num_samples), keep=s.num_samples)),
-    GeneratorKind.UNIFORM_RANDOM: ("seed={seed}",
+    GeneratorKind.UNIFORM_RANDOM: ("seed={seed}", None,
                                    lambda s: gen_uniform_random(s.num_samples, s.seed)),
 }
 
 
 def make_series(spec: GeneratorSpec) -> TimeSeries:
     """Materialize a :class:`GeneratorSpec` into samples."""
-    series = _KINDS[spec.kind][1](spec)
+    series = _KINDS[spec.kind][2](spec)
     if series.sample_rate != spec.sample_rate:  # a clock declared for map or noise samples
         series = TimeSeries(series.samples, spec.sample_rate, series.label)
     return series
@@ -116,6 +114,7 @@ def _describe(spec: GeneratorSpec) -> str:
 
 
 def _check_tone(f: float, fs: float) -> None:
+    """The one aliasing rule: a tone at ``f`` needs ``fs`` above ``2 * f``."""
     _check_real("f", f)
     _check_real("fs", fs)
     if not f > 0 or not fs > 0:
@@ -124,7 +123,7 @@ def _check_tone(f: float, fs: float) -> None:
         raise AliasingError(f"tone at {f} Hz needs a sample rate above {2 * f} Hz, got {fs}")
 
 
-def gen_sine(f: float = 100.0, fs: float = 5000.0, n: int = 5000) -> TimeSeries:
+def gen_sine(f: float = 100.0, fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     """Pure tone sin(2*pi*f*t)."""
     _check_tone(f, fs)
     _check_count("n", n, 1)
@@ -132,7 +131,7 @@ def gen_sine(f: float = 100.0, fs: float = 5000.0, n: int = 5000) -> TimeSeries:
     return TimeSeries(np.sin(2.0 * math.pi * f * t), sample_rate=fs, label="sine")
 
 
-def gen_sawtooth(f: float = 100.0, fs: float = 5000.0, n: int = 5000) -> TimeSeries:
+def gen_sawtooth(f: float = 100.0, fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     """Sawtooth y(t) = 2*(t*f - floor(1/2 + t*f)), ramping across [-1, 1).
 
     When the period is a whole number of samples the phase is reduced
@@ -152,16 +151,14 @@ def gen_sawtooth(f: float = 100.0, fs: float = 5000.0, n: int = 5000) -> TimeSer
     return TimeSeries(2.0 * (phase - np.floor(0.5 + phase)), sample_rate=fs, label="sawtooth")
 
 
-def gen_quasiperiodic(fs: float = 5000.0, n: int = 5000) -> TimeSeries:
+def gen_quasiperiodic(fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     """Two equal-amplitude cosines at 100 Hz and 100*sqrt(2) Hz.
 
     The irrational frequency ratio (kept at full float precision, never a
     decimal approximation) means the waveform never exactly repeats.
     """
-    _check_real("fs", fs)
     f_hi = 100.0 * math.sqrt(2.0)
-    if not fs > 2.0 * f_hi:
-        raise AliasingError(f"sample rate must exceed {2 * f_hi:.1f} Hz, got {fs}")
+    _check_tone(f_hi, fs)
     _check_count("n", n, 1)
     t = np.arange(n) / fs
     two_pi_t = 2.0 * math.pi * t
@@ -170,7 +167,7 @@ def gen_quasiperiodic(fs: float = 5000.0, n: int = 5000) -> TimeSeries:
 
 
 def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
-              fs: float = 5000.0) -> TimeSeries:
+              fs: float = _DEFAULT_RATE) -> TimeSeries:
     """Linear sweep sin(2*pi*(f0*t + (k/2)*t^2)) with k = (f1-f0)/sweep_time.
 
     Sampled over [0, sweep_time), giving round(sweep_time*fs) samples.  The
@@ -183,8 +180,7 @@ def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
         raise InvalidParameterError("need f1 > f0 >= 0")
     if not sweep_time > 0:
         raise InvalidParameterError("sweep_time must be positive")
-    if not fs > 2.0 * f1:
-        raise AliasingError(f"sweep reaches {f1} Hz; sample rate {fs} is below Nyquist")
+    _check_tone(f1, fs)
     count = sweep_time * fs
     # above 2**53 a float no longer counts samples one by one; inf is refused too
     if not count < 2.0**53:

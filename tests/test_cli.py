@@ -418,6 +418,14 @@ def test_batch_windowed_rows(runner, tmp_path):
     assert rows[1].split(",")[0].endswith("@301")
     assert rows[2].split(",")[0].endswith("@601")
     assert all(row.split(",")[1] == "400" for row in rows)
+    # windows with gaps between them: each row is named by its window's start
+    result = runner.invoke(main, ["batch", str(manifest), "--window", "200", "--stride", "350"])
+    assert result.exit_code == 0
+    rows = (tmp_path / "man.summary.csv").read_text().splitlines()[1:]
+    series = c.load_series(c.SeriesFile(path=src))
+    starts = [w.label.rsplit("@", 1)[1] for w in c.segment(series, c.WindowPlan(200, 350))]
+    assert starts == ["1", "351", "701"]
+    assert [row.split(",")[0] for row in rows] == [f"{src}@{start}" for start in starts]
 
 
 def test_batch_failed_window_becomes_an_error_row(runner, tmp_path):

@@ -39,11 +39,21 @@ def test_sine_metadata(sine_series):
     assert len(sine_series) == 5000
 
 
+def _aliasing_edge(generate, f_max):
+    """``generate(fs)`` raises the one aliasing error at fs = 2 * f_max and
+    returns a series at the next float above."""
+    edge = 2.0 * f_max
+    with pytest.raises(c.AliasingError, match=rf"^tone at {f_max} Hz needs a sample rate above "):
+        generate(edge)
+    assert generate(math.nextafter(edge, math.inf)).sample_rate > edge
+
+
 def test_sine_rejects_aliasing():
     with pytest.raises(c.AliasingError):
         c.gen_sine(3000.0, 5000.0, 100)
     with pytest.raises(c.AliasingError):
         c.gen_sine(2500.0, 5000.0, 100)
+    _aliasing_edge(lambda fs: c.gen_sine(100.0, fs, 100), 100.0)
 
 
 def test_sine_rejects_nonpositive_frequency():
@@ -91,6 +101,7 @@ def test_sawtooth_matches_formula_for_irrational_period():
 def test_sawtooth_rejects_aliasing():
     with pytest.raises(c.AliasingError):
         c.gen_sawtooth(2500.0, 5000.0, 100)
+    _aliasing_edge(lambda fs: c.gen_sawtooth(100.0, fs, 100), 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +134,7 @@ def test_quasi_never_exactly_repeats(quasi_series):
 def test_quasi_rejects_aliasing():
     with pytest.raises(c.AliasingError):
         c.gen_quasiperiodic(280.0, 100)
+    _aliasing_edge(lambda fs: c.gen_quasiperiodic(fs, 100), 100.0 * math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +176,7 @@ def test_chirp_parameter_validation():
         c.gen_chirp(0.0, 100.0, 0.0, 5000.0)
     with pytest.raises(c.AliasingError):
         c.gen_chirp(0.0, 3000.0, 1.0, 5000.0)
+    _aliasing_edge(lambda fs: c.gen_chirp(0.0, 100.0, 1.0, fs), 100.0)
     # a sample count no float can hold exactly, inf included
     for sweep_time in (math.inf, 1e300):
         with pytest.raises(c.InvalidParameterError, match=r"^sweep_time \* fs must be below"):
@@ -296,16 +309,24 @@ def test_make_series_matches_direct_generator_calls():
     spec = c.GeneratorSpec(kind="sawtooth", num_samples=300, sample_rate=5000.0, freq=100.0)
     direct = c.gen_sawtooth(100.0, 5000.0, 300)
     assert np.array_equal(c.make_series(spec).samples, direct.samples)
+    defaults = {"sine": c.gen_sine, "sawtooth": c.gen_sawtooth,
+                "quasi_periodic": c.gen_quasiperiodic, "chirp": c.gen_chirp,
+                "henon": c.gen_henon, "uniform_random": c.gen_uniform_random}
     for kind, build in REFERENCE_SIGNALS.items():  # the default spec of each kind
-        made, direct = c.make_series(c.GeneratorSpec(kind=kind)), build()
-        assert np.array_equal(made.samples, direct.samples), kind
-        assert (made.sample_rate, made.label) == (direct.sample_rate, direct.label), kind
+        made = c.make_series(c.GeneratorSpec(kind=kind))
+        for direct in (build(), defaults[kind]()):  # the reference, and no arguments at all
+            assert np.array_equal(made.samples, direct.samples), kind
+            assert (made.sample_rate, made.label) == (direct.sample_rate, direct.label), kind
 
 
 def test_spec_defaults_sample_rate_only_for_time_kinds():
-    assert c.GeneratorSpec(kind="sine").sample_rate == 5000.0
-    assert c.GeneratorSpec(kind="henon").sample_rate is None
-    assert c.GeneratorSpec(kind="uniform_random").sample_rate is None
+    for kind in c.GeneratorKind:
+        rate = c.GeneratorSpec(kind=kind).sample_rate
+        if kind.value in ("henon", "uniform_random"):
+            assert rate is None, kind
+        else:
+            assert rate == 5000.0, kind
+        assert c.GeneratorSpec(kind=kind, sample_rate=250.0).sample_rate == 250.0, kind
 
 
 def test_spec_validation():
