@@ -38,6 +38,10 @@ SHORT_SERIES_LIMIT = 1000
 #: regime thresholds were calibrated jointly with this window; see README.
 DEFAULT_N0_FRACTION = 0.28
 
+#: Every count that sizes an array stays below this: above 2**53 a float no
+#: longer counts one by one, and numpy cannot address 2**60 float64 values.
+_MAX_COUNT = 2**53
+
 
 class Method(str, Enum):
     """How the growth rate is extracted from the displacement curve."""
@@ -194,7 +198,7 @@ class TestConfig:
     bands: ClassificationBands = field(default_factory=ClassificationBands)
 
     def __post_init__(self):
-        _check_count("num_c", self.num_c, 1)
+        _check_size("num_c", self.num_c, 1)
         _check_count("seed", self.seed, 0)
         for name in ("c_low", "c_high", "trim_fraction", "n0_fraction"):
             _check_real(name, getattr(self, name))
@@ -228,6 +232,14 @@ def _check_count(name: str, value, low: int) -> None:
     """Raise unless ``value`` is an integer, not a bool, of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise InvalidParameterError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _check_size(name: str, value, low: int) -> None:
+    """The one count-ceiling rule: a count that sizes an array is also
+    below ``_MAX_COUNT``.  Seeds are counts but not sizes."""
+    _check_count(name, value, low)
+    if value >= _MAX_COUNT:
+        raise InvalidParameterError(f"{name} must be below 2**53, got {value!r}")
 
 
 def _check_real(name: str, value) -> None:

@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TimeSeries, _check_count, _check_name, _check_rate, _check_real
+from .core import (TimeSeries, _MAX_COUNT, _check_count, _check_name, _check_rate, _check_real,
+                   _check_size)
 from .errors import AliasingError, DivergenceError, InvalidParameterError
 
 #: Iterates beyond this magnitude are treated as having left the attractor.
@@ -71,8 +72,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _check_name(GeneratorKind, self.kind, "kind"))
-        _check_count("num_samples", self.num_samples, 1)
-        _check_count("total", self.total, 1)
+        _check_size("num_samples", self.num_samples, 1)
+        _check_size("total", self.total, 1)
         _check_count("seed", self.seed, 0)
         for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
             _check_real(name, getattr(self, name))
@@ -126,7 +127,7 @@ def _check_tone(f: float, fs: float) -> None:
 def gen_sine(f: float = 100.0, fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     """Pure tone sin(2*pi*f*t)."""
     _check_tone(f, fs)
-    _check_count("n", n, 1)
+    _check_size("n", n, 1)
     t = np.arange(n) / fs
     return TimeSeries(np.sin(2.0 * math.pi * f * t), sample_rate=fs, label="sine")
 
@@ -137,13 +138,15 @@ def gen_sawtooth(f: float = 100.0, fs: float = _DEFAULT_RATE, n: int = 5000) -> 
     When the period is a whole number of samples the phase is reduced
     modulo that period in integer arithmetic first.  The values are
     identical in exact math, but this keeps the output bit-exactly
-    periodic instead of drifting by float rounding in t*f.
+    periodic instead of drifting by float rounding in t*f.  A period of
+    2**63 samples or more (an infinite one included) takes the direct form,
+    since numpy's integers cannot hold it.
     """
     _check_tone(f, fs)
-    _check_count("n", n, 1)
+    _check_size("n", n, 1)
     j = np.arange(n)
     period = fs / f
-    whole = round(period)
+    whole = round(period) if period < 2.0**63 else 0
     if whole >= 1 and whole * f == fs:
         phase = (j % whole) / period
     else:
@@ -159,7 +162,7 @@ def gen_quasiperiodic(fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     """
     f_hi = 100.0 * math.sqrt(2.0)
     _check_tone(f_hi, fs)
-    _check_count("n", n, 1)
+    _check_size("n", n, 1)
     t = np.arange(n) / fs
     two_pi_t = 2.0 * math.pi * t
     samples = np.cos(100.0 * two_pi_t) + np.cos(f_hi * two_pi_t)
@@ -183,7 +186,7 @@ def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
     _check_tone(f1, fs)
     count = sweep_time * fs
     # above 2**53 a float no longer counts samples one by one; inf is refused too
-    if not count < 2.0**53:
+    if not count < _MAX_COUNT:
         raise InvalidParameterError(f"sweep_time * fs must be below 2**53 samples, got {count!r}")
     n = round(count)
     if n < 1:
@@ -210,8 +213,8 @@ def gen_henon(a: float = 1.4, b: float = 0.3, x0: float = 0.03, y0: float = 0.03
     """
     for name, value in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
         _check_real(name, value)
-    _check_count("keep", keep, 1)
-    _check_count("total", total, keep)
+    _check_size("keep", keep, 1)
+    _check_size("total", total, keep)
     x, y = float(x0), float(y0)
     out = np.empty(total, dtype=float)
     for i in range(total):
@@ -228,7 +231,7 @@ def gen_uniform_random(n: int = 5000, seed: int = 0) -> TimeSeries:
     Uses the same portable seeded generator as the frequency draw in the
     test driver, so a seed pins the sequence across platforms.
     """
-    _check_count("n", n, 1)
+    _check_size("n", n, 1)
     _check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return TimeSeries(rng.random(n), sample_rate=None, label="uniform_random")

@@ -829,8 +829,10 @@ _COMMANDS = st.one_of(
 )
 
 # 2^57 values of 8 bytes are 2^60 bytes, more than any address space, so
-# these fail at once and allocate nothing
+# these fail at once and allocate nothing; so does 2^61, whose byte count
+# numpy cannot even address
 _HUGE = 2**57
+_HUGER = 2**61
 
 
 @given(doc=_MANIFESTS, jobs=st.sampled_from(["1", "2"]), args=_COMMANDS)
@@ -839,6 +841,17 @@ _HUGE = 2**57
          args=["generate", "--kind", "sine", "--n", str(_HUGE), "--out", Path("gen.csv")])
 @example(doc={"inputs": ["a.csv"], "config": {"num_c": 1}}, jobs="1",
          args=["analyze", Path("a.csv"), "--num-c", str(_HUGE)])
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": _HUGER}}, jobs="1",
+         args=["generate", "--kind", "sine", "--n", str(_HUGER), "--out", Path("gen.csv")])
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": 1}}, jobs="1",
+         args=["generate", "--kind", "henon", "--n", str(_HUGER), "--out", Path("gen.csv")])
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": 1}}, jobs="1",
+         args=["generate", "--kind", "uniform_random", "--n", str(_HUGER),
+               "--out", Path("gen.csv")])
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": 1}}, jobs="1",
+         args=["analyze", Path("a.csv"), "--num-c", str(_HUGER)])
+@example(doc={"inputs": ["a.csv"], "config": {"num_c": 1}}, jobs="1",
+         args=["generate", "--kind", "sawtooth", "--fs", "1e300", "--out", Path("gen.csv")])
 def test_batch_manifest_fuzz_exits_with_a_documented_code(fuzz_dir, doc, jobs, args):
     # each draw runs batch on a manifest, then generate, analyze or psd
     manifest = fuzz_dir / "man.json"
@@ -849,6 +862,19 @@ def test_batch_manifest_fuzz_exits_with_a_documented_code(fuzz_dir, doc, jobs, a
         assert result.exception is None or isinstance(result.exception, SystemExit), result.output
         assert result.exit_code in (0, 2, 3, 4)
         assert result.output.count("error:") <= 1 and "Traceback" not in result.output, argv
+
+
+def test_memory_error_exits_2_with_one_line(runner, tmp_path, monkeypatch):
+    # a size below the count ceiling that still cannot be allocated
+    def fail(spec):
+        raise MemoryError("Unable to allocate 64. PiB for an array")
+    monkeypatch.setattr("chaos01.cli.make_series", fail)
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["generate", "--kind", "sine", "--n", str(2**53 - 1),
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == "error: Unable to allocate 64. PiB for an array\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

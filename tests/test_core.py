@@ -492,6 +492,7 @@ def test_band_edges_must_be_real_numbers(edge, bad):
     {"bands": 3},
     *({name: bad} for name in ("c_low", "c_high", "trim_fraction", "n0_fraction")
       for bad in ("0.3", None, True)),
+    {"num_c": 2**53},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(c.InvalidParameterError):

@@ -104,6 +104,14 @@ def test_sawtooth_rejects_aliasing():
     _aliasing_edge(lambda fs: c.gen_sawtooth(100.0, fs, 100), 100.0)
 
 
+@pytest.mark.parametrize("f, fs", [(1e-300, 1e10), (1e-290, 1e8)], ids=["inf", "1e298"])
+def test_sawtooth_huge_period_takes_the_direct_form(f, fs):
+    # fs / f is a period that no integer array can hold
+    series = c.gen_sawtooth(f, fs, 50)
+    phase = (np.arange(50) / fs) * f
+    assert np.array_equal(series.samples, 2.0 * (phase - np.floor(0.5 + phase)))
+
+
 # ---------------------------------------------------------------------------
 # quasi-periodic
 
@@ -233,6 +241,10 @@ def test_henon_validates_keep():
     for keep in (0, 2.5):
         with pytest.raises(c.InvalidParameterError):
             c.gen_henon(total=10, keep=keep)
+    for name, counts in (("keep", {"keep": 2**53, "total": 2**53 + 1}),
+                         ("total", {"total": 2**53})):
+        with pytest.raises(c.InvalidParameterError, match=rf"^{name} must be below 2\*\*53, got "):
+            c.gen_henon(**counts)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +262,12 @@ def test_uniform_random_validates_n():
         for bad in (0, 2.5, "5", True):
             with pytest.raises(c.InvalidParameterError, match="^n must be an integer"):
                 generator(n=bad)
+        with pytest.raises(c.InvalidParameterError, match=r"^n must be below 2\*\*53, got "):
+            generator(n=2**53)
     for bad in (-1, 1.5, "3"):
         with pytest.raises(c.InvalidParameterError, match="^seed must be an integer"):
             c.gen_uniform_random(10, seed=bad)
+    assert len(c.gen_uniform_random(3, seed=2**64)) == 3  # a seed is not a size
 
 
 def test_uniform_random_mean_is_centered():
@@ -346,6 +361,11 @@ def test_spec_validation():
     for bad in (0, 2.5, False):
         with pytest.raises(c.InvalidParameterError):
             c.GeneratorSpec(kind="henon", num_samples=2, total=bad)
+    for name in ("num_samples", "total"):
+        with pytest.raises(c.InvalidParameterError, match=rf"^{name} must be below 2\*\*53, got "):
+            c.GeneratorSpec(kind="henon", **{name: 2**53})
+    # one below the ceiling is a valid spec, which allocates nothing
+    assert c.GeneratorSpec(kind="henon", num_samples=2**53 - 1, total=2**53 - 1, seed=2**64)
     for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
         for bad in ("5", None, True):
             with pytest.raises(c.InvalidParameterError, match=f"^{name} must be a real number"):

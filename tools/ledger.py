@@ -1,0 +1,190 @@
+"""Compare what two chaos01 source trees print and write, command by command.
+
+    python3 tools/ledger.py BASE HEAD [--out ledger.json]
+
+BASE and HEAD are source trees, each with the package under ``src/chaos01``.
+A parent commit's tree can be unpacked without a worktree or network:
+
+    mkdir ../base && git archive HEAD~1 | tar -x -C ../base
+
+Each case below runs its steps in order in a new, empty directory, once per
+tree.  Every step is a fresh ``python`` process that imports chaos01 from
+that tree's ``src``: a CLI command, or a short library call that writes an
+input file the CLI cannot write.  Paths are relative to the case directory,
+so printed lines and summary rows do not depend on where it is.  For each
+step the ledger records the exit code and the sha256 of stdout, of stderr
+and of every file the step wrote or rewrote.
+
+The JSON written to ``--out`` lists every step with both trees' records and,
+for a step that differs, the last line of each tree's stderr.  The command
+exits 0 when every step is the same on both trees and 1 otherwise.  It uses
+only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+KINDS = ("sine", "sawtooth", "quasi_periodic", "chirp", "henon", "uniform_random")
+FLAGS = ("--n", "1200", "--f", "50", "--fs", "1000", "--seed", "3")
+HUGE = str(2**57)  # a count that no machine can allocate
+HUGER = str(2**61)  # a count whose byte size numpy cannot address
+
+
+def _manifest(name: str, doc: dict) -> list[str]:
+    """A step that writes ``doc`` as the JSON manifest ``name``."""
+    return ["py", f"import json, pathlib; p = pathlib.Path({name!r}); "
+                  f"p.parent.mkdir(exist_ok=True); p.write_text(json.dumps({doc!r}))"]
+
+
+# Each step is ["cli", *arguments] or ["py", code].  A case's later steps read
+# what its earlier ones wrote.
+CASES: dict[str, list[list[str]]] = {
+    "generate-defaults": [["cli", "generate", "--kind", kind, "--out", f"{kind}.csv"]
+                          for kind in KINDS],
+    "generate-flags": [["cli", "generate", "--kind", kind, "--out", f"{kind}.csv", *FLAGS]
+                       for kind in KINDS],
+    "analyze-defaults": [
+        *(["cli", "generate", "--kind", kind, "--out", f"{kind}.csv"] for kind in KINDS),
+        *(["cli", "analyze", f"{kind}.csv"] for kind in KINDS),
+        ["cli", "analyze", "henon.csv", "--method", "regression", "--aggregator", "median",
+         "--out", "reg.json", "--scatter", "reg.csv"],
+        # three floats strictly inside the angle range
+        ["cli", "analyze", "sine.csv", "--c-low", "1.0", "--c-high", repr(1.0 + 4 * 2.0**-52),
+         "--num-c", "7", "--out", "ulp.json", "--scatter", "ulp.csv"],
+        ["cli", "psd", "sine.csv"],
+        ["cli", "psd", "quasi_periodic.csv"],
+    ],
+    "long-record": [
+        ["py", "import chaos01 as c; c.write_series("
+               "c.gen_quasiperiodic(5000.0, 100_000), 'long.csv', 'time_value_csv')"],
+        ["cli", "analyze", "long.csv", "--format", "time_value_csv",
+         "--trajectory", "long.traj.csv"],
+        ["cli", "psd", "long.csv", "--format", "time_value_csv"],
+    ],
+    "batch": [
+        ["cli", "generate", "--kind", "sine", "--n", "3000", "--out", "sine.csv"],
+        ["cli", "generate", "--kind", "henon", "--n", "3000", "--out", "henon.csv"],
+        ["py", "import pathlib; pathlib.Path('bad.csv').write_bytes(b'1.0\\n\\xff\\n')"],
+        # a flat first half: its window has no usable growth rate
+        ["py", "import chaos01 as c, numpy as np; c.write_series(c.TimeSeries(np.concatenate("
+               "[np.zeros(1000), c.gen_uniform_random(1000, 3).samples])), 'half.csv')"],
+        _manifest("win.json", {"inputs": ["sine.csv", "missing.csv", "bad.csv", "half.csv"],
+                               "config": {"num_c": 12},
+                               "window": {"window_len": 1000, "stride": 1000}}),
+        ["cli", "batch", "win.json", "--jobs", "1", "--out", "win1.csv"],
+        ["cli", "batch", "win.json", "--jobs", "2", "--out", "win2.csv"],
+        _manifest("plain.json", {"inputs": ["sine.csv", "henon.csv"], "config": {"num_c": 20}}),
+        ["cli", "batch", "plain.json"],
+        ["cli", "batch", "plain.json", "--window", "1000", "--out", "plain.win.csv"],
+        # windows with gaps between them, and a manifest in a subdirectory
+        ["cli", "batch", "plain.json", "--window", "600", "--stride", "1100",
+         "--out", "plain.gap.csv"],
+        _manifest("sub/man.json", {"inputs": ["../sine.csv", "../half.csv"],
+                                   "config": {"num_c": 10}}),
+        ["cli", "batch", "sub/man.json", "--window", "800"],
+    ],
+    "help": [["cli", *words, "--help"] for words in
+             ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
+    "errors": [
+        ["cli", "generate", "--kind", "sine", "--f", "3000", "--out", "x.csv"],
+        ["cli", "generate", "--kind", "sawtooth", "--f", "2500", "--out", "x.csv"],
+        ["cli", "generate", "--kind", "quasi_periodic", "--fs", "280", "--out", "x.csv"],
+        ["cli", "generate", "--kind", "chirp", "--fs", "150", "--out", "x.csv"],
+        ["cli", "generate", "--kind", "sawtooth", "--fs", "1e300", "--n", "20", "--out", "s1.csv"],
+        ["cli", "generate", "--kind", "sawtooth", "--f", "1e-300", "--n", "20", "--out", "s2.csv"],
+        ["cli", "generate", "--kind", "sawtooth", "--f", "1e-300", "--fs", "1e10", "--n", "20",
+         "--out", "s3.csv"],
+        *(["cli", "generate", "--kind", kind, "--n", n, "--out", "x.csv"]
+          for n in (HUGE, HUGER) for kind in ("sine", "henon", "uniform_random")),
+        ["cli", "generate", "--kind", "chirp", "--n", str(10**30), "--out", "x.csv"],
+        ["cli", "generate", "--kind", "uniform_random", "--n", "5", "--seed", str(2**64),
+         "--out", "r.csv"],
+        ["cli", "generate", "--kind", "uniform_random", "--n", "600", "--out", "a.csv"],
+        *(["cli", "analyze", "a.csv", "--num-c", n] for n in (HUGE, HUGER)),
+        *(step for n in (2**57, 2**61) for step in (
+            _manifest(f"n{n}.json", {"inputs": ["a.csv"], "config": {"num_c": n}}),
+            ["cli", "batch", f"n{n}.json"])),
+    ],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(root: Path) -> dict[str, str]:
+    return {path.relative_to(root).as_posix(): _sha(path.read_bytes())
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _last_line(text: bytes) -> str:
+    lines = text.decode(errors="replace").strip().splitlines()
+    return lines[-1][:300] if lines else ""
+
+
+def run_case(tree: Path, steps: list[list[str]]) -> list[dict]:
+    """Run one case's steps on ``tree`` in a new directory; one record each."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    records = []
+    with tempfile.TemporaryDirectory(prefix="ledger-") as work:
+        root = Path(work)
+        for step in steps:
+            kind, *words = step
+            argv = ([sys.executable, "-m", "chaos01.cli", *words] if kind == "cli"
+                    else [sys.executable, "-c", *words])
+            before = _files(root)
+            proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=600)
+            after = _files(root)
+            records.append({
+                "exit": proc.returncode,
+                "stdout": _sha(proc.stdout),
+                "stderr": _sha(proc.stderr),
+                "files": {name: sha for name, sha in after.items() if before.get(name) != sha},
+                "stderr_last": _last_line(proc.stderr),
+            })
+    return records
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="source tree of the parent")
+    parser.add_argument("head", type=Path, help="source tree of the change")
+    parser.add_argument("--out", type=Path, default=Path("ledger.json"),
+                        help="JSON ledger path [default: ledger.json]")
+    args = parser.parse_args(argv)
+    for tree in (args.base, args.head):
+        if not (tree / "src" / "chaos01").is_dir():
+            parser.error(f"{tree} has no src/chaos01")
+
+    steps, differ = [], 0
+    for case, case_steps in CASES.items():
+        base, head = (run_case(tree.resolve(), case_steps) for tree in (args.base, args.head))
+        for step, old, new in zip(case_steps, base, head):
+            last = (old.pop("stderr_last"), new.pop("stderr_last"))
+            entry = {"case": case, "step": step, "same": old == new, "base": old, "head": new}
+            if old != new:
+                differ += 1
+                entry["stderr_last"] = last
+            steps.append(entry)
+    files = sum(len(entry["head"]["files"]) for entry in steps)
+    summary = {"steps": len(steps), "files_written": files, "differ": differ}
+    args.out.write_text(json.dumps({"summary": summary, "steps": steps}, indent=1) + "\n")
+    print(f"wrote {args.out}: {len(steps)} steps, {files} files, {differ} differ")
+    for entry in steps:
+        if not entry["same"]:
+            print(f"  {entry['case']}: {' '.join(entry['step'][1:])[:80]}")
+            print(f"    exit {entry['base']['exit']} -> {entry['head']['exit']}; "
+                  f"stderr {entry['stderr_last'][0]!r} -> {entry['stderr_last'][1]!r}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
