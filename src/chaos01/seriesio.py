@@ -9,10 +9,17 @@ Two text formats are understood:
   rows; timestamps must be uniformly spaced (relative tolerance 1e-6) and
   their spacing defines the sample rate.
 
-Either reader gives one table: ``np.loadtxt`` reads it whole, and when it
-declines (a value it cannot parse, a skipped or non-finite row) the line
-parser, which alone decides what is accepted, re-reads it and names the bad
-line.  The timestamp spacing is then checked once, on that table.
+Either format is read into one table by one of two readers.  The array
+reader takes a regular file whose bytes after the header line are all plain
+ASCII decimal text: digits, ``+ - . e E ,``, space, tab, ``\r`` and ``\n``.
+A pre-pass checks that, a block at a time, and counts the lines as
+``str.splitlines`` does; then ``np.loadtxt`` reads the rows from the same
+handle, and must give one finite row per line.  Every other file (another
+byte, a row loadtxt cannot parse, a blank or non-finite row, or a pipe,
+which can be read only once) is decoded whole and split into lines for the
+line parser, which alone decides what is accepted and names the bad line.
+The timestamp spacing is then checked once, on the table either reader
+gives.
 
 All reals are rendered with their shortest round-trip decimal form, so a
 write/load cycle reproduces every sample bit for bit.
@@ -23,6 +30,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -94,34 +103,65 @@ def _parse_float(text: str, line: int) -> float:
     return value
 
 
-def _fast_table(body: list[str], columns: int) -> np.ndarray | None:
-    """Read ``body`` as a ``len(body)`` × ``columns`` table of finite floats in one
-    call, or return None so the line parser can accept the file or name its bad line.
+#: The number of fields in each row of a format.
+_COLUMNS = {SeriesFormat.SINGLE_COLUMN: 1, SeriesFormat.TIME_VALUE_CSV: 2}
 
-    loadtxt parses a field as ``float()`` does, but it rejects ``_`` and
-    non-ASCII digits, skips empty lines (which the row count catches) and
-    strips a unit separator ``\x1f`` at a field's edge, where ``float()``
-    rejects it beside a comma (so callers check for it).
+#: Bytes read at a time by the array reader's pre-pass.
+_BLOCK = 1 << 20
+
+#: The only bytes the array reader takes after the header: plain ASCII decimals,
+#: commas, blanks and line breaks.
+_TABLE_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _count_rows(handle) -> int | None:
+    r"""Count the lines from ``handle``'s position to its end as ``str.splitlines``
+    does (``\r\n``, a lone ``\r`` or ``\n``, and a last line with no break), or
+    return None at the first byte outside ``_TABLE_BYTES``.  Nothing is kept."""
+    rows, last = 0, b""
+    while block := handle.read(_BLOCK):
+        if block.translate(None, _TABLE_BYTES):
+            return None
+        rows += block.count(b"\n")
+        if b"\r" in block:
+            rows += block.count(b"\r") - block.count(b"\r\n")
+        if last == b"\r" and block.startswith(b"\n"):  # a CRLF split between blocks
+            rows -= 1
+        last = block[-1:]
+    return rows + (last not in b"\r\n")
+
+
+def _fast_table(handle, columns: int) -> np.ndarray | None:
+    """Read the rest of ``handle`` as a table of finite floats with ``columns``
+    columns and one row per line, or return None so that the line parser reads
+    the file and accepts it or names its bad line.
+
+    The one rule: the array reader takes only ``_TABLE_BYTES``.  On them
+    loadtxt and ``float()`` agree, and a blank or otherwise unparsable line
+    makes loadtxt fail or return fewer rows than the pre-pass counts.
     """
-    if not body:
+    start = handle.tell()
+    # no rows, or a blank first line, which the line parser refuses (and loadtxt
+    # skips, warning when every line is blank)
+    if handle.read(1) in (b"", b"\r", b"\n"):
         return None
+    handle.seek(start)
+    rows = _count_rows(handle)
+    if rows is None:
+        return None
+    handle.seek(start)
     try:
-        table = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        table = np.loadtxt(handle, delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
-    if table.shape != (len(body), columns) or not np.isfinite(table).all():
+    if table.shape != (rows, columns) or not np.isfinite(table).all():
         return None
     return table
 
 
-def _read_table(lines: list[str], start: int, columns: int, tabular: bool) -> np.ndarray:
-    """The rows ``lines[start:]`` as a ``(rows, columns)`` table of finite floats.
-
-    The array reader is tried first unless ``tabular`` is False; when it
-    declines, the line parser reads the rows and names the first bad line.
-    """
-    if tabular and (table := _fast_table(lines[start:], columns)) is not None:
-        return table
+def _read_table(lines: list[str], start: int, columns: int) -> np.ndarray:
+    """The line parser: the rows ``lines[start:]`` as a ``(rows, columns)`` table of
+    finite floats; raises at the first bad line, and names it."""
     values = []
     for i in range(start, len(lines)):
         text = lines[i].strip()
@@ -134,25 +174,31 @@ def _read_table(lines: list[str], start: int, columns: int, tabular: bool) -> np
     return np.array(values, dtype=float).reshape(-1, columns)
 
 
-def _load_single_column(lines: list[str], rate: float | None,
-                        tabular: bool) -> tuple[np.ndarray, float | None]:
-    """``rate`` is the one to use when the file has no rate comment."""
-    start = 0
-    if lines and lines[0].lstrip().startswith("#"):
-        comment = lines[0].lstrip()[1:].strip()
-        if not comment.startswith("sample_rate="):
-            raise SeriesFormatError(f"unrecognized comment: {lines[0]!r}", line=1)
-        rate = _parse_float(comment[len("sample_rate="):], line=1)
-        if not rate > 0:
-            raise SeriesFormatError("sample_rate must be positive", line=1)
-        start = 1
-    return _read_table(lines, start, 1, tabular)[:, 0], rate
+def _header(lines: list[str], file: SeriesFile) -> tuple[int, float | None]:
+    """How many of ``lines`` (the file's first line, or none) form the header,
+    and the sample rate it gives (a single_column file without a rate comment
+    keeps ``file.sample_rate``)."""
+    if file.format is SeriesFormat.TIME_VALUE_CSV:
+        if not lines or lines[0].strip() != "time,value":
+            raise SeriesFormatError("expected 'time,value' header", line=1)
+        return 1, None
+    if not (lines and lines[0].lstrip().startswith("#")):
+        return 0, file.sample_rate
+    comment = lines[0].lstrip()[1:].strip()
+    if not comment.startswith("sample_rate="):
+        raise SeriesFormatError(f"unrecognized comment: {lines[0]!r}", line=1)
+    rate = _parse_float(comment[len("sample_rate="):], line=1)
+    if not rate > 0:
+        raise SeriesFormatError("sample_rate must be positive", line=1)
+    return 1, rate
 
 
-def _load_time_value(lines: list[str], tabular: bool) -> tuple[np.ndarray, float]:
-    if not lines or lines[0].strip() != "time,value":
-        raise SeriesFormatError("expected 'time,value' header", line=1)
-    table = _read_table(lines, 1, 2, tabular)
+def _samples(table: np.ndarray, file: SeriesFile,
+             rate: float | None) -> tuple[np.ndarray, float | None]:
+    """The samples and rate of a table read after its header; a time_value_csv
+    table's timestamps are checked for even spacing and set the rate."""
+    if file.format is SeriesFormat.SINGLE_COLUMN:
+        return table[:, 0], rate
     if len(table) < 2:
         raise SeriesFormatError("need at least two rows to infer the sample rate")
     t = table[:, 0]
@@ -177,6 +223,37 @@ def _rate(dt: float) -> float:
     return rate
 
 
+def _read_array(handle, file: SeriesFile) -> tuple[np.ndarray, float | None] | None:
+    """The array reader: the samples and rate of the file open in ``handle``,
+    or None to leave it to the line parser.  Its header line must decode and be
+    one line; the rows after it go to ``_fast_table``."""
+    first = handle.readline(_BLOCK)
+    try:
+        lines = first.decode("utf-8").splitlines()
+        start, rate = _header(lines, file)
+    except (UnicodeDecodeError, SeriesFormatError):
+        return None
+    if len(first) == _BLOCK or len(lines) > 1:  # a header cut short, or more than one line
+        return None
+    if start == 0:
+        handle.seek(0)
+    table = _fast_table(handle, _COLUMNS[file.format])
+    return None if table is None else _samples(table, file, rate)
+
+
+def _read_lines(handle, file: SeriesFile) -> tuple[np.ndarray, float | None]:
+    """Decode the rest of ``handle`` whole, split it into lines and hand them to
+    the line parser, which alone decides what is accepted and names a bad line."""
+    try:
+        text = handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
+    lines = text.splitlines()
+    del text
+    start, rate = _header(lines, file)
+    return _samples(_read_table(lines, start, _COLUMNS[file.format]), file, rate)
+
+
 def load_series(file: SeriesFile | str | Path) -> TimeSeries:
     """Read a series from disk.
 
@@ -195,18 +272,15 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
     if not isinstance(file, SeriesFile):
         file = SeriesFile(path=file)
     path = Path(file.path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SeriesFormatError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
-    lines = text.splitlines()
-    # loadtxt strips a unit separator (\x1f) beside a comma; float() rejects it there
-    tabular = "\x1f" not in text
-    del text
-    if file.format is SeriesFormat.SINGLE_COLUMN:
-        samples, rate = _load_single_column(lines, file.sample_rate, tabular)
-    else:
-        samples, rate = _load_time_value(lines, tabular)
+    with open(path, "rb") as handle:
+        # a pipe or other stream can be read only once, so it goes to the line parser
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        loaded = _read_array(handle, file) if regular else None
+        if loaded is None:
+            if regular:
+                handle.seek(0)
+            loaded = _read_lines(handle, file)
+    samples, rate = loaded
     if samples.size == 0:
         raise SeriesFormatError("empty file")
     return TimeSeries(samples, sample_rate=rate, label=path.stem)

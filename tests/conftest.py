@@ -51,13 +51,14 @@ def random_series():
     return REFERENCE_SIGNALS["uniform_random"]()
 
 
-def source_tree_python(args, **environ):
+def source_tree_python(args, stdin=None, input=None, **environ):
     """Run ``python *args`` in a fresh process that imports chaos01 from this
-    source tree, and return the finished process with its text output.  The
-    process gets this one's environment plus ``environ``, but without the
-    BLAS setting that importing chaos01.cli put there, unless ``environ``
-    sets one."""
+    source tree, and return the finished process with its text output.  Its
+    standard input is ``stdin`` (an open file), or a pipe that carries the
+    text ``input``.  The process gets this one's environment plus
+    ``environ``, but without the BLAS setting that importing chaos01.cli put
+    there, unless ``environ`` sets one."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     env.update(environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+                          stdin=stdin, input=input, timeout=120)

@@ -916,6 +916,24 @@ def test_version_from_source_tree():
     assert "0.1.0" in proc.stdout
 
 
+def test_psd_reads_standard_input_from_a_file_or_a_pipe(tmp_path):
+    # a redirected file is a regular file on /dev/stdin; a pipe can be read only once
+    c.write_series(c.gen_sine(100.0, 5000.0, 2000), tmp_path / "s.csv", "time_value_csv")
+    args = ["-m", "chaos01.cli", "psd", "--format", "time_value_csv", "--out"]
+    by_path = source_tree_python([*args, str(tmp_path / "path.csv"), str(tmp_path / "s.csv")])
+    assert by_path.returncode == 0, by_path.stderr
+    with open(tmp_path / "s.csv") as handle:
+        redirected = source_tree_python([*args, str(tmp_path / "file.csv"), "/dev/stdin"],
+                                        stdin=handle)
+    piped = source_tree_python([*args, str(tmp_path / "pipe.csv"), "/dev/stdin"],
+                               input=(tmp_path / "s.csv").read_text())
+    expected = (tmp_path / "path.csv").read_bytes()
+    for proc, out in ((redirected, "file.csv"), (piped, "pipe.csv")):
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == by_path.stdout.replace("path.csv", out)
+        assert (tmp_path / out).read_bytes() == expected
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy costs about a second of every CLI start
     proc = source_tree_python(["-c", "import sys, chaos01.cli; print('scipy' in sys.modules)"])

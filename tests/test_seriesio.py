@@ -1,7 +1,9 @@
 """Tests for file formats, segmentation, and result/plot-data exports."""
 
+import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import chaos01 as c
 from chaos01 import seriesio
+from conftest import source_tree_python
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +260,8 @@ def _line_parser_outcome(path, fmt):
 
 
 _INSERTIONS = ["_", "inf", "nan", "1e400", ",", "#", " ", "\t", "\x0c", "\x85", "\x1f", "\x00",
-               "\u3000", "\xa0", "\u0661\u0662", "\u0967", "'", '"', "-", ".", "e", "5", "\n"]
+               "\u3000", "\xa0", "\u0661\u0662", "\u0967", "'", '"', "-", ".", "e", "5", "\n",
+               "\r", "\r\n"]
 
 
 def _valid_text(samples, rate, fmt):
@@ -337,6 +341,26 @@ _DEEP_GAP = "time,value\n" + "".join(f"{i / 250!r},{i % 7}.0\n" for i in range(1
     ("time_value_csv", "time,value\n" + "".join(f"{i * 5e-324!r},{i}.0\n" for i in range(10)),
      (c.SeriesFormatError,
       "line 3: timestamp spacing 5e-324 gives no finite positive sample rate", 3)),
+    # line breaks as str.splitlines counts them: CRLF, a lone CR, both kinds
+    # mixed, and a last line with no break
+    ("single_column", "1.0\r\n2.0\r\n", [1.0, 2.0]),
+    ("time_value_csv", "time,value\r\n0.0,1.0\r\n0.5,2.0\r\n", [1.0, 2.0]),
+    ("single_column", "1.0\r2.0\r", [1.0, 2.0]),
+    ("time_value_csv", "time,value\r0.0,1.0\r0.5,2.0\r", [1.0, 2.0]),
+    ("single_column", "# sample_rate=4.0\r\n1.0\n2.0\r\n3.0\n", [1.0, 2.0, 3.0]),
+    ("time_value_csv", "time,value\n0.0,1.0\r\n0.5,2.0\n1.0,3.0\r\n", [1.0, 2.0, 3.0]),
+    ("single_column", "1.0\n2.0", [1.0, 2.0]),
+    ("time_value_csv", "time,value\n0.0,1.0\n0.5,2.0", [1.0, 2.0]),
+    # a header and no rows
+    ("single_column", "# sample_rate=10.0\n", (c.SeriesFormatError, "empty file", None)),
+    ("time_value_csv", "time,value\n",
+     (c.SeriesFormatError, "need at least two rows to infer the sample rate", None)),
+    # a line of blanks only, and files whose every line is blank
+    ("single_column", "1.0\n \t\n2.0\n", (c.SeriesFormatError, "line 2: blank line", 2)),
+    ("time_value_csv", "time,value\n0.0,1.0\n \t\n0.5,2.0\n",
+     (c.SeriesFormatError, "line 3: blank line", 3)),
+    ("single_column", "\n", (c.SeriesFormatError, "line 1: blank line", 1)),
+    ("time_value_csv", "time,value\n\r\n\n", (c.SeriesFormatError, "line 2: blank line", 2)),
 ])
 def test_line_parser_decides_what_the_array_reader_declines(tmp_path, fmt, text, expected):
     path = tmp_path / "d.csv"
@@ -356,6 +380,31 @@ def test_a_file_whose_only_fault_is_its_spacing_is_not_read_again_line_by_line(t
         with pytest.raises(c.NonUniformSamplingError):
             c.load_series(c.SeriesFile(path, format="time_value_csv"))
     assert parse.call_count == 0
+
+
+@given(text=st.text(st.sampled_from("1,\r\n"), max_size=40), block=st.integers(1, 8))
+def test_row_count_is_splitlines_across_any_block_size(text, block):
+    # a CRLF may be split between two blocks
+    with mock.patch.object(seriesio, "_BLOCK", block):
+        assert seriesio._count_rows(io.BytesIO(text.encode())) == len(text.splitlines())
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM in /proc")
+def test_a_million_samples_load_in_a_bounded_peak(tmp_path):
+    # VmHWM, not ru_maxrss: a child's ru_maxrss keeps its parent's high-water
+    # mark from before the exec
+    path = tmp_path / "long.csv"
+    series = c.gen_quasiperiodic(5000.0, 10**6)
+    c.write_series(series, path, "time_value_csv")
+    code = ("import sys, chaos01 as c\n"
+            "s = c.load_series(c.SeriesFile(sys.argv[1], format='time_value_csv'))\n"
+            "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]\n"
+            "print(len(s), s.samples[-1].hex(), int(peak.split()[1]) / 1024)")
+    proc = source_tree_python(["-c", code, str(path)])
+    assert proc.returncode == 0, proc.stderr
+    count, last, peak_mib = proc.stdout.split()
+    assert (int(count), last) == (10**6, series.samples[-1].hex())
+    assert float(peak_mib) < 80
 
 
 def test_unknown_format_name_raises(tmp_path):
