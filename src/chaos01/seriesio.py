@@ -128,6 +128,10 @@ def _count_rows(handle) -> int | None:
         if last == b"\r" and block.startswith(b"\n"):  # a CRLF split between blocks
             rows -= 1
         last = block[-1:]
+        # a short read is the end; one more would allocate a whole block for
+        # nothing, and freeing it raises glibc's mmap threshold, and the peak
+        if len(block) < _BLOCK:
+            break
     return rows + (last not in b"\r\n")
 
 
