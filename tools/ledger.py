@@ -9,11 +9,12 @@ A parent commit's tree can be unpacked without a worktree or network:
 
 Each case below runs its steps in order in a new, empty directory, once per
 tree.  Every step is a fresh ``python`` process that imports chaos01 from
-that tree's ``src``: a CLI command, or a short library call that writes an
-input file the CLI cannot write.  Paths are relative to the case directory,
-so printed lines and summary rows do not depend on where it is.  For each
-step the ledger records the exit code and the sha256 of stdout, of stderr
-and of every file the step wrote or rewrote.
+that tree's ``src``: a CLI command, a CLI command that reads a file on its
+standard input (as the file itself, or through a pipe), or a short library
+call that writes an input file the CLI cannot write.  Paths are relative to
+the case directory, so printed lines and summary rows do not depend on
+where it is.  For each step the ledger records the exit code and the
+sha256 of stdout, of stderr and of every file the step wrote or rewrote.
 
 The JSON written to ``--out`` lists every step with both trees' records and,
 for a step that differs, the last line of each tree's stderr.  The command
@@ -42,6 +43,52 @@ def _manifest(name: str, doc: dict) -> list[str]:
     """A step that writes ``doc`` as the JSON manifest ``name``."""
     return ["py", f"import json, pathlib; p = pathlib.Path({name!r}); "
                   f"p.parent.mkdir(exist_ok=True); p.write_text(json.dumps({doc!r}))"]
+
+
+def _stdin(name: str, pipe: bool, *words: str) -> list[str]:
+    """A step that runs the CLI's ``words`` with the file ``name`` on standard
+    input, through a pipe or as the file itself; ``/dev/stdin`` names it."""
+    feed = f"input=open({name!r}, 'rb').read()" if pipe else f"stdin=open({name!r}, 'rb')"
+    return ["py", f"import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-m', "
+                  f"'chaos01.cli', *{list(words)!r}], {feed}).returncode)"]
+
+
+# The "reader" case's inputs, each one edit of tv.csv (time_value_csv) or
+# sc.txt (single_column): every line break str.splitlines counts, and bytes
+# or rows that leave a file to the line parser.  ``put`` replaces the line
+# ``row`` (of the file split at each LF) by the lines that ``edit`` returns.
+_READER_FILES = r"""
+import pathlib
+def put(name, source, row=0, edit=lambda line: [line], sep=b'\n'):
+    lines = pathlib.Path(source).read_bytes().split(b'\n')
+    lines[row:row + 1] = edit(lines[row])
+    pathlib.Path(name).write_bytes(sep.join(lines))
+for stem, source in (('tv', 'tv.csv'), ('sc', 'sc.txt')):
+    put(f'{stem}-crlf', source, sep=b'\r\n')
+    put(f'{stem}-cr', source, sep=b'\r')
+    put(f'{stem}-open', source, row=-1, edit=lambda line: [])
+put('sc-blank', 'sc.txt', 5, lambda line: [b'', line])
+put('sc-inf', 'sc.txt', 5, lambda line: [b'inf'])
+put('tv-inf', 'tv.csv', 5, lambda line: [line.split(b',')[0] + b',inf'])
+put('sc-under', 'sc.txt', 5, lambda line: [b'1_000'])
+put('sc-us', 'sc.txt', 5, lambda line: [line + b'\x1f'])
+put('tv-us', 'tv.csv', 5, lambda line: [line.replace(b',', b'\x1f,')])
+put('sc-nel', 'sc.txt', 5, lambda line: [line + b'\xc2\x85' + line])
+put('sc-latin1', 'sc.txt', 5, lambda line: [line + b'\xe9'])
+put('tv-gap', 'tv.csv', 600, lambda line: [])
+"""
+_READER_INPUTS = ("tv-crlf", "tv-cr", "tv-open", "sc-crlf", "sc-cr", "sc-open", "sc-blank",
+                  "sc-inf", "tv-inf", "sc-under", "sc-us", "tv-us", "sc-nel", "sc-latin1",
+                  "tv-gap")
+
+
+def _reader_args(command: str, name: str, tag: str) -> list[str]:
+    """``command``'s arguments after its input, for the "reader" input ``name``;
+    every output is named by ``tag``, since a default would sit beside /dev/stdin."""
+    fmt = "time_value_csv" if name.startswith("tv") else "single_column"
+    outputs = (["--out", f"{tag}.json", "--scatter", f"{tag}.kc.csv"] if command == "analyze"
+               else ["--out", f"{tag}.psd.csv"])
+    return ["--format", fmt, *outputs]
 
 
 # Each step is ["cli", *arguments] or ["py", code].  A case's later steps read
@@ -90,6 +137,17 @@ CASES: dict[str, list[list[str]]] = {
         _manifest("sub/man.json", {"inputs": ["../sine.csv", "../half.csv"],
                                    "config": {"num_c": 10}}),
         ["cli", "batch", "sub/man.json", "--window", "800"],
+    ],
+    "reader": [
+        ["py", "import chaos01 as c; s = c.gen_sine(50.0, 1000.0, 1200); "
+               "c.write_series(s, 'tv.csv', 'time_value_csv'); c.write_series(s, 'sc.txt')"],
+        ["py", _READER_FILES],
+        *(["cli", command, name, *_reader_args(command, name, name)]
+          for name in _READER_INPUTS for command in ("analyze", "psd")),
+        *(_stdin(name, pipe, command, "/dev/stdin",
+                 *_reader_args(command, name, f"{name}-{'pipe' if pipe else 'file'}"))
+          for name in ("tv-crlf", "sc-blank") for command in ("analyze", "psd")
+          for pipe in (True, False)),
     ],
     "help": [["cli", *words, "--help"] for words in
              ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
