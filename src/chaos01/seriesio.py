@@ -9,17 +9,18 @@ Two text formats are understood:
   rows; timestamps must be uniformly spaced (relative tolerance 1e-6) and
   their spacing defines the sample rate.
 
-Either format is read into one table by one of two readers.  The array
-reader takes a regular file whose bytes after the header line are all plain
-ASCII decimal text: digits, ``+ - . e E ,``, space, tab, ``\r`` and ``\n``.
-A pre-pass checks that, a block at a time, and counts the lines as
-``str.splitlines`` does; then ``np.loadtxt`` reads the rows from the same
-handle, and must give one finite row per line.  Every other file (another
-byte, a row loadtxt cannot parse, a blank or non-finite row, or a pipe,
-which can be read only once) is decoded whole and split into lines for the
-line parser, which alone decides what is accepted and names the bad line.
-The timestamp spacing is then checked once, on the table either reader
-gives.
+Either format is read into one table by one block reader, whatever the
+input: a file, redirected standard input or a pipe.  It reads the input
+once, a block at a time, and cuts each block after its last line break; a
+CR that ends a block waits to see whether an LF follows, and a line longer
+than a block joins the next.  The first piece's first line is the header.
+A piece of plain ASCII decimal text only (digits, ``+ - . e E ,``, space,
+tab, ``\r`` and ``\n``) goes to ``np.loadtxt``, which must give one finite
+row per line.  Any other piece, or one loadtxt refuses, is decoded and
+split into lines for the line parser, which alone decides what is accepted
+and names the bad line.  So of two faults in different pieces, the first
+in the input is named; within a piece, a byte that is not UTF-8 comes
+first.  The timestamp spacing is then checked once, on the whole table.
 
 All reals are rendered with their shortest round-trip decimal form, so a
 write/load cycle reproduces every sample bit for bit.
@@ -28,10 +29,10 @@ write/load cycle reproduces every sample bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
-import os
-import stat
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -106,56 +107,35 @@ def _parse_float(text: str, line: int) -> float:
 #: The number of fields in each row of a format.
 _COLUMNS = {SeriesFormat.SINGLE_COLUMN: 1, SeriesFormat.TIME_VALUE_CSV: 2}
 
-#: Bytes read at a time by the array reader's pre-pass.
+#: Bytes read at a time by the block reader.
 _BLOCK = 1 << 20
 
 #: The only bytes the array reader takes after the header: plain ASCII decimals,
 #: commas, blanks and line breaks.
 _TABLE_BYTES = b"0123456789+-.eE, \t\r\n"
 
-
-def _count_rows(handle) -> int | None:
-    r"""Count the lines from ``handle``'s position to its end as ``str.splitlines``
-    does (``\r\n``, a lone ``\r`` or ``\n``, and a last line with no break), or
-    return None at the first byte outside ``_TABLE_BYTES``.  Nothing is kept."""
-    rows, last = 0, b""
-    while block := handle.read(_BLOCK):
-        if block.translate(None, _TABLE_BYTES):
-            return None
-        rows += block.count(b"\n")
-        if b"\r" in block:
-            rows += block.count(b"\r") - block.count(b"\r\n")
-        if last == b"\r" and block.startswith(b"\n"):  # a CRLF split between blocks
-            rows -= 1
-        last = block[-1:]
-        # a short read is the end; one more would allocate a whole block for
-        # nothing, and freeing it raises glibc's mmap threshold, and the peak
-        if len(block) < _BLOCK:
-            break
-    return rows + (last not in b"\r\n")
+#: A piece's first line, with its CRLF, CR or LF.
+_FIRST_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
 
 
-def _fast_table(handle, columns: int) -> np.ndarray | None:
-    """Read the rest of ``handle`` as a table of finite floats with ``columns``
-    columns and one row per line, or return None so that the line parser reads
-    the file and accepts it or names its bad line.
+def _fast_table(piece: bytes, columns: int) -> np.ndarray | None:
+    """The array reader: ``piece``, whole lines after the header, as a table of
+    finite floats with ``columns`` columns and one row per line, or None so that
+    the line parser reads the piece and accepts it or names its bad line.
 
     The one rule: the array reader takes only ``_TABLE_BYTES``.  On them
     loadtxt and ``float()`` agree, and a blank or otherwise unparsable line
-    makes loadtxt fail or return fewer rows than the pre-pass counts.
+    makes loadtxt fail or return fewer rows than the piece has lines.
     """
-    start = handle.tell()
     # no rows, or a blank first line, which the line parser refuses (and loadtxt
     # skips, warning when every line is blank)
-    if handle.read(1) in (b"", b"\r", b"\n"):
+    if piece[:1] in (b"", b"\r", b"\n") or piece.translate(None, _TABLE_BYTES):
         return None
-    handle.seek(start)
-    rows = _count_rows(handle)
-    if rows is None:
-        return None
-    handle.seek(start)
+    if b"\r" in piece:  # loadtxt ends a line at LF only
+        piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    rows = piece.count(b"\n") + (not piece.endswith(b"\n"))
     try:
-        table = np.loadtxt(handle, delimiter=",", comments=None, dtype=float, ndmin=2)
+        table = np.loadtxt(io.BytesIO(piece), delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
     if table.shape != (rows, columns) or not np.isfinite(table).all():
@@ -163,18 +143,19 @@ def _fast_table(handle, columns: int) -> np.ndarray | None:
     return table
 
 
-def _read_table(lines: list[str], start: int, columns: int) -> np.ndarray:
-    """The line parser: the rows ``lines[start:]`` as a ``(rows, columns)`` table of
-    finite floats; raises at the first bad line, and names it."""
+def _read_table(lines: list[str], line: int, columns: int) -> np.ndarray:
+    """The line parser: ``lines``, the first of them numbered ``line``, as a
+    ``(rows, columns)`` table of finite floats; raises at the first bad line,
+    and names it."""
     values = []
-    for i in range(start, len(lines)):
-        text = lines[i].strip()
+    for number, text in enumerate(lines, line):
+        text = text.strip()
         if not text:
-            raise SeriesFormatError("blank line", line=i + 1)
+            raise SeriesFormatError("blank line", line=number)
         fields = text.split(",") if columns > 1 else [text]
         if len(fields) != columns:
-            raise SeriesFormatError(f"expected two comma-separated fields: {text!r}", line=i + 1)
-        values.extend(_parse_float(field, line=i + 1) for field in fields)
+            raise SeriesFormatError(f"expected two comma-separated fields: {text!r}", line=number)
+        values.extend(_parse_float(field, line=number) for field in fields)
     return np.array(values, dtype=float).reshape(-1, columns)
 
 
@@ -227,35 +208,59 @@ def _rate(dt: float) -> float:
     return rate
 
 
-def _read_array(handle, file: SeriesFile) -> tuple[np.ndarray, float | None] | None:
-    """The array reader: the samples and rate of the file open in ``handle``,
-    or None to leave it to the line parser.  Its header line must decode and be
-    one line; the rows after it go to ``_fast_table``."""
-    first = handle.readline(_BLOCK)
-    try:
-        lines = first.decode("utf-8").splitlines()
-        start, rate = _header(lines, file)
-    except (UnicodeDecodeError, SeriesFormatError):
-        return None
-    if len(first) == _BLOCK or len(lines) > 1:  # a header cut short, or more than one line
-        return None
-    if start == 0:
-        handle.seek(0)
-    table = _fast_table(handle, _COLUMNS[file.format])
-    return None if table is None else _samples(table, file, rate)
-
-
-def _read_lines(handle, file: SeriesFile) -> tuple[np.ndarray, float | None]:
-    """Decode the rest of ``handle`` whole, split it into lines and hand them to
-    the line parser, which alone decides what is accepted and names a bad line."""
-    try:
-        text = handle.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SeriesFormatError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
-    lines = text.splitlines()
-    del text
-    start, rate = _header(lines, file)
-    return _samples(_read_table(lines, start, _COLUMNS[file.format]), file, rate)
+def _read(handle, file: SeriesFile) -> tuple[np.ndarray, float | None]:
+    """The block reader: the table after the header of the input in ``handle``,
+    and the header's rate; each piece goes to the array reader or the line parser."""
+    columns = _COLUMNS[file.format]
+    table = np.empty((0, columns))  # grown in place: realloc moves a large one without a copy
+    rest, line, offset, first = b"", 1, 0, True  # where the next piece starts
+    while True:
+        block = handle.read(_BLOCK)
+        # a short read is the end; one more would allocate a whole block for
+        # nothing, and freeing it raises glibc's mmap threshold, and the peak
+        end = len(block) < _BLOCK
+        # cut after the block's last line break; a CR that ends it may begin a CRLF
+        cut = len(block) if end else max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if not (cut or end or rest.endswith(b"\r")):  # a line longer than a block
+            rest += block
+            continue
+        piece, rest = b"".join((rest, memoryview(block)[:cut])), block[cut:]
+        del block
+        if first:
+            # a header line that decodes, is one line and is valid is read alone;
+            # any other goes to the line parser with the rest of its piece
+            head = _FIRST_LINE.match(piece)[0]
+            try:
+                lines = head.decode("utf-8").splitlines()
+                start, rate = _header(lines, file)
+                first = len(lines) > 1
+            except (UnicodeDecodeError, SeriesFormatError):
+                pass
+            if not first:
+                skip = len(head) if start else 0
+                piece, line, offset = piece[skip:], line + start, offset + skip
+        rows = None if first else _fast_table(piece, columns)
+        if rows is None:
+            try:
+                lines = piece.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise SeriesFormatError(
+                    f"not UTF-8 text: byte {offset + exc.start} cannot be decoded") from None
+            if first:
+                start, rate = _header(lines, file)
+                del lines[:start]
+                line += start
+            rows = _read_table(lines, line, columns)
+            del lines
+        first, line, offset = False, line + len(rows), offset + len(piece)
+        filled = len(table)
+        table.resize((filled + len(rows), columns), refcheck=False)
+        table[filled:] = rows
+        # rows go before the next read, for the peak; the piece stays until the next
+        # replaces it, so glibc does not trim the heap and fault it in again
+        del rows
+        if end:
+            return table, rate
 
 
 def load_series(file: SeriesFile | str | Path) -> TimeSeries:
@@ -277,14 +282,8 @@ def load_series(file: SeriesFile | str | Path) -> TimeSeries:
         file = SeriesFile(path=file)
     path = Path(file.path)
     with open(path, "rb") as handle:
-        # a pipe or other stream can be read only once, so it goes to the line parser
-        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        loaded = _read_array(handle, file) if regular else None
-        if loaded is None:
-            if regular:
-                handle.seek(0)
-            loaded = _read_lines(handle, file)
-    samples, rate = loaded
+        table, rate = _read(handle, file)
+    samples, rate = _samples(table, file, rate)
     if samples.size == 0:
         raise SeriesFormatError("empty file")
     return TimeSeries(samples, sample_rate=rate, label=path.stem)

@@ -8,6 +8,7 @@ rectangular-window periodogram, rescaled to a unit maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,8 @@ def normalize_amplitude(series: TimeSeries) -> TimeSeries:
     hi = float(s.max())
     if hi == lo:
         scaled = np.full(s.size, 0.5)
-    else:
+    elif math.isfinite(hi - lo):
         scaled = (s - lo) / (hi - lo)
+    else:  # the range overflows; halving is exact there and keeps every step finite
+        scaled = (s / 2 - lo / 2) / (hi / 2 - lo / 2)
     return TimeSeries(scaled, sample_rate=series.sample_rate, label=series.label)

@@ -1,8 +1,8 @@
 """Tests for file formats, segmentation, and result/plot-data exports."""
 
-import io
 import json
 import math
+import subprocess
 from pathlib import Path
 from unittest import mock
 
@@ -382,29 +382,87 @@ def test_a_file_whose_only_fault_is_its_spacing_is_not_read_again_line_by_line(t
     assert parse.call_count == 0
 
 
-@given(text=st.text(st.sampled_from("1,\r\n"), max_size=40), block=st.integers(1, 8))
-def test_row_count_is_splitlines_across_any_block_size(text, block):
-    # a CRLF may be split between two blocks
+def _blocks_outcome(path, fmt, block):
     with mock.patch.object(seriesio, "_BLOCK", block):
-        assert seriesio._count_rows(io.BytesIO(text.encode())) == len(text.splitlines())
+        return _outcome(path, fmt)
+
+
+@given(case=mutated_files(), block=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_any_block_size_gives_the_outcome_of_one_block(tmp_path_factory, case, block):
+    fmt, text = case
+    path = tmp_path_factory.mktemp("bk") / "m.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _blocks_outcome(path, fmt, block) == _outcome(path, fmt)
+
+
+@pytest.mark.parametrize("fmt, content, expected", [
+    # a CRLF whose CR ends one block and whose LF starts the next, at every edge
+    ("single_column", b"1.0\r\n2.0\r\n3.0\r\n", [1.0, 2.0, 3.0]),
+    ("time_value_csv", b"time,value\r\n0.0,1.0\r\n0.5,2.0\r\n", [1.0, 2.0]),
+    # a header and a row longer than a block
+    ("single_column", b"# sample_rate=4.0\n1.0\n-12345.678901e-3\n", [1.0, -12.345678901]),
+    ("time_value_csv", b"time,value\n0.0,1.0\n0.5,-12345.678901e-3\n", [1.0, -12.345678901]),
+    # multibyte UTF-8 characters that straddle block edges: Arabic-Indic digits,
+    # an ideographic space (a blank line) and a NEL (a line break to the line parser)
+    ("single_column", "1.0\n\u0661\u0662\n3.0\n".encode(), [1.0, 12.0, 3.0]),
+    ("single_column", "1.0\n\u3000\n2.0\n".encode(),
+     (c.SeriesFormatError, "line 2: blank line", 2)),
+    ("single_column", "1.0\n2.0\x853.0\n4.0\n".encode(), [1.0, 2.0, 3.0, 4.0]),
+    # faults past the first block name the line, and the byte in the whole input
+    ("single_column", b"1.0\n2.0\n3.0\n4.0\n5.0\nx\n",
+     (c.SeriesFormatError, "line 6: not a number: 'x'", 6)),
+    ("time_value_csv", b"time,value\n0.0,1.0\n0.5,2.0\n1.0,3.0\n1.5,\n",
+     (c.SeriesFormatError, "line 5: not a number: ''", 5)),
+    ("single_column", b"1.0\n2.0\n3.0\n4.0\n5.\xff\n",
+     (c.SeriesFormatError, "not UTF-8 text: byte 18 cannot be decoded", None)),
+    ("time_value_csv", b"time,value\n0.0,1.0\n0.5,2.0\n1.0,\xe93.0\n",
+     (c.SeriesFormatError, "not UTF-8 text: byte 31 cannot be decoded", None)),
+])
+def test_block_edges_change_no_outcome(tmp_path, fmt, content, expected):
+    path = tmp_path / "e.csv"
+    path.write_bytes(content)
+    outcome = _outcome(path, fmt)
+    if isinstance(expected, list):
+        assert outcome[0] == np.array(expected).view(np.uint64).tolist()
+    else:
+        assert outcome == expected
+    for block in range(1, len(content) + 2):
+        assert _blocks_outcome(path, fmt, block) == outcome, block
+
+
+def test_of_two_faults_in_different_blocks_the_first_is_named(tmp_path):
+    # a blank line 2 in the first block, and a byte that is not UTF-8 at the
+    # end, 2.4 MB in; a block that held the whole file would name the byte
+    path = tmp_path / "two.csv"
+    path.write_bytes(b"1.0\n\n" + b"1.0\n" * 600_000 + b"\xff")
+    assert _outcome(path, "single_column") == (c.SeriesFormatError, "line 2: blank line", 2)
+    assert _blocks_outcome(path, "single_column", 3 * 2**20) == (
+        c.SeriesFormatError, "not UTF-8 text: byte 2400005 cannot be decoded", None)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM in /proc")
 def test_a_million_samples_load_in_a_bounded_peak(tmp_path):
     # VmHWM, not ru_maxrss: a child's ru_maxrss keeps its parent's high-water
-    # mark from before the exec
+    # mark from before the exec.  The same bound holds for the file, for the
+    # file through a pipe, and for the file with lone-CR line ends.
     path = tmp_path / "long.csv"
     series = c.gen_quasiperiodic(5000.0, 10**6)
     c.write_series(series, path, "time_value_csv")
+    lone_cr = tmp_path / "long-cr.csv"
+    lone_cr.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
     code = ("import sys, chaos01 as c\n"
             "s = c.load_series(c.SeriesFile(sys.argv[1], format='time_value_csv'))\n"
             "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]\n"
             "print(len(s), s.samples[-1].hex(), int(peak.split()[1]) / 1024)")
-    proc = source_tree_python(["-c", code, str(path)])
-    assert proc.returncode == 0, proc.stderr
-    count, last, peak_mib = proc.stdout.split()
-    assert (int(count), last) == (10**6, series.samples[-1].hex())
-    assert float(peak_mib) < 80
+    with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+        piped = source_tree_python(["-c", code, "/dev/stdin"], stdin=cat.stdout)
+    for proc in (source_tree_python(["-c", code, str(path)]), piped,
+                 source_tree_python(["-c", code, str(lone_cr)])):
+        assert proc.returncode == 0, proc.stderr
+        count, last, peak_mib = proc.stdout.split()
+        assert (int(count), last) == (10**6, series.samples[-1].hex())
+        assert float(peak_mib) < 80
 
 
 def test_unknown_format_name_raises(tmp_path):

@@ -72,6 +72,13 @@ def test_normalize_symmetric_range():
     assert np.array_equal(out.samples, [0.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("edge", [1e308, 1.5e308, 1.7976931348623157e308])
+def test_normalize_a_range_that_overflows(edge):
+    # hi - lo is inf here; a RuntimeWarning would fail the test (warnings are errors)
+    out = c.normalize_amplitude(c.TimeSeries([-edge, 0.0, edge]))
+    assert np.array_equal(out.samples, [0.0, 0.5, 1.0])
+
+
 def test_normalize_constant_maps_to_half():
     out = c.normalize_amplitude(c.TimeSeries([5.0, 5.0, 5.0]))
     assert np.array_equal(out.samples, [0.5, 0.5, 0.5])

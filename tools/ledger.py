@@ -81,6 +81,25 @@ _READER_INPUTS = ("tv-crlf", "tv-cr", "tv-open", "sc-crlf", "sc-cr", "sc-open", 
                   "sc-inf", "tv-inf", "sc-under", "sc-us", "tv-us", "sc-nel", "sc-latin1",
                   "tv-gap")
 
+# The "reader" case's inputs of more than one 1 MiB block (2.2 and 3.0 MB): a
+# faultless file read through a pipe, the same with lone-CR line ends, a bad
+# row and a bad byte past the first block, and two faults in different blocks
+# (a blank line 2 and a bad byte at the end), where the first one is named.
+_BIG_FILES = r"""
+import pathlib, chaos01 as c
+s = c.gen_sine(50.0, 1000.0, 120_000)
+c.write_series(s, 'tvbig', 'time_value_csv')
+c.write_series(s, 'scbig')
+tv, sc = pathlib.Path('tvbig').read_bytes(), pathlib.Path('scbig').read_bytes()
+pathlib.Path('tvbig-cr').write_bytes(tv.replace(b'\n', b'\r'))
+lines = sc.split(b'\n')
+pathlib.Path('scbig-row').write_bytes(b'\n'.join(lines[:100_000] + [b'x'] + lines[100_001:]))
+lines[100_000] += b'\xff'
+pathlib.Path('scbig-byte').write_bytes(b'\n'.join(lines))
+head = sc.index(b'\n') + 1
+pathlib.Path('scbig-two').write_bytes(sc[:head] + b'\n' + sc[head:] + b'\xff')
+"""
+
 
 def _reader_args(command: str, name: str, tag: str) -> list[str]:
     """``command``'s arguments after its input, for the "reader" input ``name``;
@@ -148,6 +167,12 @@ CASES: dict[str, list[list[str]]] = {
                  *_reader_args(command, name, f"{name}-{'pipe' if pipe else 'file'}"))
           for name in ("tv-crlf", "sc-blank") for command in ("analyze", "psd")
           for pipe in (True, False)),
+        ["py", _BIG_FILES],
+        *(_stdin("tvbig", True, command, "/dev/stdin",
+                 *_reader_args(command, "tvbig", "tvbig-pipe")) for command in ("analyze", "psd")),
+        *(["cli", command, name, *_reader_args(command, name, name)]
+          for name in ("tvbig-cr", "scbig-row", "scbig-byte", "scbig-two")
+          for command in ("analyze", "psd")),
     ],
     "help": [["cli", *words, "--help"] for words in
              ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
