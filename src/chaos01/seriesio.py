@@ -22,7 +22,8 @@ and names the bad line.  So of two faults in different pieces, the first
 in the input is named; within a piece, a byte that is not UTF-8 comes
 first.  The timestamp spacing is then checked once, on the whole table.
 
-All reals are rendered with their shortest round-trip decimal form, so a
+All reals are written in their shortest round-trip decimal form, byte for
+byte Python's ``repr``, by the vectorised writer in ``_decimal``, so a
 write/load cycle reproduces every sample bit for bit.
 """
 
@@ -40,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._decimal import csv_rows
 from .core import (TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count,
                    _check_name, _check_rate)
 from .errors import (
@@ -109,6 +111,12 @@ _COLUMNS = {SeriesFormat.SINGLE_COLUMN: 1, SeriesFormat.TIME_VALUE_CSV: 2}
 
 #: Bytes read at a time by the block reader.
 _BLOCK = 1 << 20
+
+#: Rows rendered at a time by the writer; it sets the writer's memory peak.
+_WRITE_ROWS = 1 << 14
+
+#: Timestamp gaps checked at a time.
+_SPACING_ROWS = 1 << 16
 
 #: The only bytes the array reader takes after the header: plain ASCII decimals,
 #: commas, blanks and line breaks.
@@ -189,13 +197,17 @@ def _samples(table: np.ndarray, file: SeriesFile,
     t = table[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan gaps compare False
         dt = float(t[1] - t[0])
-        uneven = np.flatnonzero(np.abs(np.diff(t) - dt) > SPACING_RTOL * dt)
-    if dt <= 0:
-        raise NonUniformSamplingError("timestamps must be strictly increasing", line=3)
-    if uneven.size:
-        i = int(uneven[0])
-        gap = float(t[i + 1]) - float(t[i])
-        raise NonUniformSamplingError(f"timestamp gap {gap!r} deviates from {dt!r}", line=i + 3)
+        if dt <= 0:
+            raise NonUniformSamplingError("timestamps must be strictly increasing", line=3)
+        # over slices that share their edge row, so the temporaries stay small
+        for start in range(0, len(t) - 1, _SPACING_ROWS):
+            gaps = np.diff(t[start:start + _SPACING_ROWS + 1])
+            uneven = np.flatnonzero(np.abs(gaps - dt) > SPACING_RTOL * dt)
+            if uneven.size:
+                i = start + int(uneven[0])
+                gap = float(t[i + 1]) - float(t[i])
+                raise NonUniformSamplingError(f"timestamp gap {gap!r} deviates from {dt!r}",
+                                              line=i + 3)
     return np.ascontiguousarray(table[:, 1]), _rate(dt)  # a copy, so the times are freed
 
 
@@ -302,16 +314,20 @@ def write_series(series: TimeSeries, path: str | Path,
 
 
 def _write_table(path: str | Path, header: str | None, *columns) -> None:
-    """Write ``columns`` side by side as CSV rows under an optional header, each
-    number in its shortest round-trip form, so that it reads back bit for bit."""
+    """Write ``columns`` side by side as CSV rows under an optional header.
+
+    Each number is written in its shortest round-trip form, byte for byte
+    Python's ``repr`` (``_decimal``), so that it reads back bit for bit; an
+    integer column is written as integers.  Rows are rendered and written
+    ``_WRITE_ROWS`` at a time through the text handle, which bounds the memory
+    held at once and keeps the platform's line ends.
+    """
     columns = [np.asarray(column) for column in columns]
-    step = 1 << 16  # rows rendered per write, which bounds the text held at once
     with open(path, "w") as handle:
         if header is not None:
             handle.write(header + "\n")
-        for start in range(0, len(columns[0]), step):
-            rows = zip(*(map(repr, c[start:start + step].tolist()) for c in columns))
-            handle.write("\n".join(map(",".join, rows)) + "\n")
+        for text in csv_rows(columns, _WRITE_ROWS):
+            handle.write(text)
 
 
 def segment(series: TimeSeries, plan: WindowPlan) -> list[TimeSeries]:

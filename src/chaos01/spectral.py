@@ -18,6 +18,11 @@ from .errors import MissingSampleRateError, SeriesTooShortError
 
 MIN_PSD_SAMPLES = 8
 
+#: The largest sample magnitudes that psd transforms as they are: their
+#: squared amplitudes, at most (N * 2**64)**2, stay far inside the float
+#: range.  Samples outside are first scaled by a power of two into [0.5, 1).
+_UNSCALED = (2.0**-64, 2.0**64)
+
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -48,7 +53,13 @@ def psd(series: TimeSeries) -> PsdEstimate:
     n = len(series)
     if n < MIN_PSD_SAMPLES:
         raise SeriesTooShortError(f"psd needs at least {MIN_PSD_SAMPLES} samples, got {n}")
-    amplitudes = np.fft.rfft(series.samples)
+    samples = series.samples
+    top = max(float(samples.max()), -float(samples.min()))
+    if top > 0.0 and not _UNSCALED[0] <= top <= _UNSCALED[1]:
+        # a power of two scales exactly, and keeps the squares from overflowing
+        # or underflowing; the normalized power is the same at any scale
+        samples = np.ldexp(samples, -math.frexp(top)[1])
+    amplitudes = np.fft.rfft(samples)
     power = np.abs(amplitudes) ** 2
     peak = power.max()
     if peak > 0.0:

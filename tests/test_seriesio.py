@@ -172,6 +172,26 @@ def test_load_time_value_needs_two_rows(tmp_path):
         c.load_series(c.SeriesFile(path, format="time_value_csv"))
 
 
+@pytest.mark.parametrize("bad_row, line", [(4, 6), (10, 12)])
+def test_spacing_check_over_slices_names_the_first_uneven_gap(tmp_path, monkeypatch, bad_row,
+                                                             line):
+    # 11 rows whose 10 gaps are checked 4 at a time: row 4 ends the first slice
+    # and begins the second, so its first gap is on one side of the slice edge
+    # and its second on the other; row 10's gap is in the last slice
+    times = [j * 0.5 for j in range(11)]
+    times[bad_row] += 0.1
+    path = tmp_path / "gap.csv"
+    path.write_text("time,value\n" + "".join(f"{t!r},1.0\n" for t in times))
+    outcomes = []
+    for rows in (4, seriesio._SPACING_ROWS):
+        monkeypatch.setattr(seriesio, "_SPACING_ROWS", rows)
+        with pytest.raises(c.NonUniformSamplingError) as info:
+            c.load_series(c.SeriesFile(path, format="time_value_csv"))
+        outcomes.append((str(info.value), info.value.line))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == line
+
+
 def test_time_value_tolerates_jitter_within_relative_tolerance(tmp_path):
     dt = 0.001
     rows = ["time,value"]
@@ -463,6 +483,32 @@ def test_a_million_samples_load_in_a_bounded_peak(tmp_path):
         count, last, peak_mib = proc.stdout.split()
         assert (int(count), last) == (10**6, series.samples[-1].hex())
         assert float(peak_mib) < 80
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM in /proc")
+def test_psd_of_a_million_samples_runs_in_a_bounded_peak(tmp_path):
+    # the psd command in a fresh process: load, transform, and the export,
+    # which renders a block of rows at a time; a block four times larger
+    # would go over the bound
+    path = tmp_path / "long.csv"
+    c.write_series(c.gen_quasiperiodic(5000.0, 10**6), path, "time_value_csv")
+    code = ("import runpy, sys\n"
+            "sys.argv = ['chaos01', 'psd', *sys.argv[1:]]\n"
+            "status = None\n"
+            "try:\n"
+            "    runpy.run_module('chaos01.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    status = exit.code\n"
+            "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]\n"
+            "print(status, int(peak.split()[1]) / 1024)")
+    out = tmp_path / "long.psd.csv"
+    proc = source_tree_python(["-c", code, str(path), "--format", "time_value_csv",
+                               "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    status, peak_mib = proc.stdout.split()[-2:]
+    assert status in ("0", "None")
+    assert len(out.read_text().splitlines()) == 1 + 500_001
+    assert float(peak_mib) < 68
 
 
 def test_unknown_format_name_raises(tmp_path):

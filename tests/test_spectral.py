@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
@@ -51,6 +51,34 @@ def test_psd_power_normalized_to_unit_peak(henon_series):
     estimate = c.psd(c.TimeSeries(henon_series.samples, sample_rate=1.0))
     assert estimate.power.max() == 1.0
     assert (estimate.power >= 0.0).all()
+
+
+NOISE = c.gen_uniform_random(2000, seed=3).samples
+
+
+@given(k=st.integers(-1000, 1000))
+@example(k=-1000)
+@example(k=1000)
+@example(k=-64)  # max|s| just below 2**-64, the first scaled magnitude
+@example(k=-63)
+@example(k=64)
+@example(k=65)  # max|s| just above 2**64
+@settings(max_examples=60, deadline=None)
+def test_psd_power_is_the_same_under_any_power_of_two_scale(k):
+    scaled = np.ldexp(NOISE, k)
+    assert np.array_equal(np.ldexp(scaled, -k), NOISE)  # the scaled samples are exact
+    expected = c.psd(c.TimeSeries(NOISE, sample_rate=500.0)).power
+    assert np.array_equal(c.psd(c.TimeSeries(scaled, sample_rate=500.0)).power, expected)
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-170, 1e300, 1e-300])
+def test_psd_at_extreme_magnitudes_matches_the_unscaled_power(factor):
+    # not a power of two, so only close; before the scaling 1e160 gave nan
+    # power with an overflow warning and 1e-170 all zeros
+    power = c.psd(c.TimeSeries(NOISE * factor, sample_rate=500.0)).power
+    expected = c.psd(c.TimeSeries(NOISE, sample_rate=500.0)).power
+    assert np.allclose(power, expected, rtol=1e-9, atol=1e-12)
+    assert power.max() == 1.0
 
 
 def test_psd_requires_sample_rate(henon_series):

@@ -101,6 +101,26 @@ pathlib.Path('scbig-two').write_bytes(sc[:head] + b'\n' + sc[head:] + b'\xff')
 """
 
 
+# The "export" case's inputs, in both formats, as each tree's writer writes
+# them: noise with the values where repr's digits or layout are hardest
+# (subnormals, -0.0, integral floats, the 16-digit edge and the 1e-4/1e-5
+# edge) set at every 97th sample.  "wide" also holds +-1e300, +-1e-300 and
+# the largest float, which the kernel and the parent's psd overflow on (with
+# warnings that name each tree's path), so the CLI reads only "mild".
+_EXPORT_FILES = r"""
+import chaos01 as c, numpy as np
+edges = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1.0, -2.0, 123.0, 4096.0,
+         1e16, 9999999999999998.0, -1e16, 1e-4, 1e-5, -1e-4, -1e-5, 0.00012345, 1e15]
+for name, extra in (('mild', []), ('wide', [1e300, -1e300, 1e-300, -1e-300,
+                                            1.7976931348623157e308])):
+    values = c.gen_uniform_random(20_000, seed=22).samples - 0.5
+    values[::97] = np.resize(edges + extra, values[::97].size)
+    series = c.TimeSeries(values, sample_rate=1000.0)
+    c.write_series(series, f'{name}.txt')
+    c.write_series(series, f'{name}.csv', 'time_value_csv')
+"""
+
+
 def _reader_args(command: str, name: str, tag: str) -> list[str]:
     """``command``'s arguments after its input, for the "reader" input ``name``;
     every output is named by ``tag``, since a default would sit beside /dev/stdin."""
@@ -173,6 +193,20 @@ CASES: dict[str, list[list[str]]] = {
         *(["cli", command, name, *_reader_args(command, name, name)]
           for name in ("tvbig-cr", "scbig-row", "scbig-byte", "scbig-two")
           for command in ("analyze", "psd")),
+    ],
+    "export": [
+        ["py", _EXPORT_FILES],
+        *(step for ext, fmt in ((".txt", "single_column"), (".csv", "time_value_csv"))
+          for step in (["cli", "psd", "mild" + ext, "--format", fmt, "--out", f"mild{ext}.psd"],
+                       ["cli", "analyze", "mild" + ext, "--format", fmt, "--out",
+                        f"mild{ext}.json", "--scatter", f"mild{ext}.kc",
+                        "--trajectory", f"mild{ext}.traj"])),
+        # a sawtooth of short decimals and its spectrum, and a file of many blocks
+        ["cli", "generate", "--kind", "sawtooth", "--fs", "1", "--f", "0.125", "--n", "3000",
+         "--out", "saw.csv"],
+        ["cli", "psd", "saw.csv"],
+        ["cli", "generate", "--kind", "uniform_random", "--n", "100000", "--seed", "5",
+         "--out", "noise.csv"],
     ],
     "help": [["cli", *words, "--help"] for words in
              ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
