@@ -117,14 +117,20 @@ def _check_targets(inputs, targets) -> None:
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A text handle on a new file in ``path``'s directory, which replaces
-    ``path`` when the block ends and is removed if the block raises, so an
-    interrupted run leaves the old file whole.  The new file gets the mode
-    ``open(path, "w")`` would give, and a directory at ``path`` or an
-    unwritable directory fails at once."""
+    """A text handle on a new file beside the file ``path`` names, through any
+    symlinks, which replaces that file when the block ends and is removed if
+    the block raises, so an interrupted run leaves the old file whole.  The new
+    file gets the mode ``open(path, "w")`` would give, and a directory at
+    ``path`` or an unwritable directory fails at once.  An existing target that
+    is not a regular file, such as a FIFO or a device, is written directly."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path} is a directory")
-    directory, name = os.path.split(os.path.abspath(path))
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as handle:
+            yield handle
+        return
+    directory, name = os.path.split(path)
     partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.partial")
     handle = open(partial, "x", newline="")
     try:

@@ -13,14 +13,17 @@ Either format is read into one table by one block reader, whatever the
 input: a file, redirected standard input or a pipe.  It reads the input
 once, a block at a time, and cuts each block after its last line break; a
 CR that ends a block waits to see whether an LF follows, and a line longer
-than a block joins the next.  The first piece's first line is the header.
-A piece of plain ASCII decimal text only (digits, ``+ - . e E ,``, space,
-tab, ``\r`` and ``\n``) goes to ``np.loadtxt``, which must give one finite
-row per line.  Any other piece, or one loadtxt refuses, is decoded and
-split into lines for the line parser, which alone decides what is accepted
-and names the bad line.  So of two faults in different pieces, the first
-in the input is named; within a piece, a byte that is not UTF-8 comes
-first.  The timestamp spacing is then checked once, on the whole table.
+than a block joins the next.  The header, the first line, is read alone
+and first: a bad header is named whatever follows it.  After it, every
+piece, the rest of the first one included, is read the same way.  A piece
+of plain ASCII decimal text only (digits, ``+ - . e E ,``, space, tab,
+``\r`` and ``\n``) goes to ``np.loadtxt``, which must give one finite row
+per line.  Any other piece, or one loadtxt refuses, is decoded and split
+into lines for the line parser, which alone decides what is accepted and
+names the bad line.  So after the header, of two faults in different
+pieces, the first in the input is named; within a piece, a byte that is
+not UTF-8 comes first.  The timestamp spacing is then checked once, on the
+whole table.
 
 All reals are written in their shortest round-trip decimal form, byte for
 byte Python's ``repr``, by the vectorised writer in ``_decimal``, so a
@@ -122,7 +125,7 @@ _SPACING_ROWS = 1 << 16
 #: commas, blanks and line breaks.
 _TABLE_BYTES = b"0123456789+-.eE, \t\r\n"
 
-#: A piece's first line, with its CRLF, CR or LF.
+#: The first line of the input, with its CRLF, CR or LF.
 _FIRST_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
 
 
@@ -189,7 +192,8 @@ def _header(lines: list[str], file: SeriesFile) -> tuple[int, float | None]:
 def _samples(table: np.ndarray, file: SeriesFile,
              rate: float | None) -> tuple[np.ndarray, float | None]:
     """The samples and rate of a table read after its header; a time_value_csv
-    table's timestamps are checked for even spacing and set the rate."""
+    table's timestamps are checked for even spacing, and its first two rows set
+    the rate."""
     if file.format is SeriesFormat.SINGLE_COLUMN:
         return table[:, 0], rate
     if len(table) < 2:
@@ -208,24 +212,18 @@ def _samples(table: np.ndarray, file: SeriesFile,
                 gap = float(t[i + 1]) - float(t[i])
                 raise NonUniformSamplingError(f"timestamp gap {gap!r} deviates from {dt!r}",
                                               line=i + 3)
-    return np.ascontiguousarray(table[:, 1]), _rate(dt)  # a copy, so the times are freed
-
-
-def _rate(dt: float) -> float:
-    """The sample rate of timestamps ``dt`` apart, which the first two rows set."""
     rate = 1.0 / dt
     if not (math.isfinite(rate) and rate > 0):
         raise SeriesFormatError(f"timestamp spacing {dt!r} gives no finite positive sample rate",
                                 line=3)
-    return rate
+    return np.ascontiguousarray(table[:, 1]), rate  # a copy, so the times are freed
 
 
-def _read(handle, file: SeriesFile) -> tuple[np.ndarray, float | None]:
-    """The block reader: the table after the header of the input in ``handle``,
-    and the header's rate; each piece goes to the array reader or the line parser."""
-    columns = _COLUMNS[file.format]
-    table = np.empty((0, columns))  # grown in place: realloc moves a large one without a copy
-    rest, line, offset, first = b"", 1, 0, True  # where the next piece starts
+def _pieces(handle):
+    """The input in ``handle`` as pieces of whole lines, read a block at a time:
+    each block is cut after its last line break, and a line longer than a block
+    joins the next."""
+    rest = b""
     while True:
         block = handle.read(_BLOCK)
         # a short read is the end; one more would allocate a whole block for
@@ -238,41 +236,50 @@ def _read(handle, file: SeriesFile) -> tuple[np.ndarray, float | None]:
             continue
         piece, rest = b"".join((rest, memoryview(block)[:cut])), block[cut:]
         del block
-        if first:
-            # a header line that decodes, is one line and is valid is read alone;
-            # any other goes to the line parser with the rest of its piece
-            head = _FIRST_LINE.match(piece)[0]
-            try:
-                lines = head.decode("utf-8").splitlines()
-                start, rate = _header(lines, file)
-                first = len(lines) > 1
-            except (UnicodeDecodeError, SeriesFormatError):
-                pass
-            if not first:
-                skip = len(head) if start else 0
-                piece, line, offset = piece[skip:], line + start, offset + skip
-        rows = None if first else _fast_table(piece, columns)
+        yield piece
+        if end:
+            return
+
+
+def _text(data: bytes, offset: int) -> str:
+    """``data``, which starts at byte ``offset`` of the input, decoded as UTF-8;
+    a byte that does not decode is named by its offset in the input."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(
+            f"not UTF-8 text: byte {offset + exc.start} cannot be decoded") from None
+
+
+def _read(handle, file: SeriesFile) -> tuple[np.ndarray, float | None]:
+    """The block reader: the table after the header of the input in ``handle``,
+    and the header's rate.  The header, the first line, is read alone and first;
+    then each piece, the rest of the first one included, goes to the array
+    reader or the line parser, so of two faults in different pieces the first
+    is named, and within a piece a byte that is not UTF-8 comes first."""
+    columns = _COLUMNS[file.format]
+    table = np.empty((0, columns))  # grown in place: realloc moves a large one without a copy
+    pieces = _pieces(handle)
+    piece = next(pieces)
+    head = _text(_FIRST_LINE.match(piece)[0], 0)
+    start, rate = _header(head.splitlines()[:1], file)
+    # the header's bytes as str.splitlines ends it: a form feed, NEL or U+2028
+    # ends it too, and what follows is line 2
+    skip = len(head.splitlines(keepends=True)[0].encode()) if start else 0
+    piece, line, offset = piece[skip:], 1 + start, skip
+    while piece is not None:
+        rows = _fast_table(piece, columns)
         if rows is None:
-            try:
-                lines = piece.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                raise SeriesFormatError(
-                    f"not UTF-8 text: byte {offset + exc.start} cannot be decoded") from None
-            if first:
-                start, rate = _header(lines, file)
-                del lines[:start]
-                line += start
-            rows = _read_table(lines, line, columns)
-            del lines
-        first, line, offset = False, line + len(rows), offset + len(piece)
+            rows = _read_table(_text(piece, offset).splitlines(), line, columns)
+        line, offset = line + len(rows), offset + len(piece)
         filled = len(table)
         table.resize((filled + len(rows), columns), refcheck=False)
         table[filled:] = rows
         # rows go before the next read, for the peak; the piece stays until the next
         # replaces it, so glibc does not trim the heap and fault it in again
         del rows
-        if end:
-            return table, rate
+        piece = next(pieces, None)
+    return table, rate
 
 
 def load_series(file: SeriesFile | str | Path) -> TimeSeries:

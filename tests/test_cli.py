@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +506,46 @@ def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch
     assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
     assert summary.read_bytes() == before[summary.name]
     assert summary.stat().st_mode & 0o777 == 0o640  # an existing summary keeps its mode
+
+
+def test_batch_writes_its_summary_through_a_symlink(runner, tmp_path):
+    src = _generate(runner, tmp_path, "uniform_random", n=600)
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
+    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
+    summary = (tmp_path / "man.summary.csv").read_bytes()
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    (shared / "summary.csv").write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(Path("shared") / "summary.csv")
+    assert runner.invoke(main, ["batch", str(manifest), "--out", str(link)]).exit_code == 0
+    assert link.is_symlink() and os.readlink(link) == str(Path("shared") / "summary.csv")
+    assert (shared / "summary.csv").read_bytes() == summary
+    assert sorted(path.name for path in shared.iterdir()) == ["summary.csv"]  # no partial file
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_batch_writes_its_summary_into_a_fifo(runner, tmp_path):
+    src = _generate(runner, tmp_path, "uniform_random", n=600)
+    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
+    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
+    summary = (tmp_path / "man.summary.csv").read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    os.link(fifo, tmp_path / "spare")  # a second name, to free the reader if the FIFO is lost
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        result = runner.invoke(main, ["batch", str(manifest), "--out", str(fifo)])
+        reader.join(timeout=10)
+        assert result.exit_code == 0, result.output
+        assert received == [summary]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+    finally:
+        if reader.is_alive():
+            os.close(os.open(tmp_path / "spare", os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
 
 
 def test_batch_summary_path_naming_an_input_exits_2(runner, tmp_path):

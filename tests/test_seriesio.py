@@ -438,6 +438,11 @@ def test_any_block_size_gives_the_outcome_of_one_block(tmp_path_factory, case, b
      (c.SeriesFormatError, "not UTF-8 text: byte 18 cannot be decoded", None)),
     ("time_value_csv", b"time,value\n0.0,1.0\n0.5,2.0\n1.0,\xe93.0\n",
      (c.SeriesFormatError, "not UTF-8 text: byte 31 cannot be decoded", None)),
+    # the header is read first, so a bad one is named before a later bad byte
+    ("time_value_csv", b"tim,value\n0.0,1.0\n0.5,2.\xff\n",
+     (c.SeriesFormatError, "line 1: expected 'time,value' header", 1)),
+    ("single_column", b"# rate=3\n1.0\n2.\xff\n",
+     (c.SeriesFormatError, "line 1: unrecognized comment: '# rate=3'", 1)),
 ])
 def test_block_edges_change_no_outcome(tmp_path, fmt, content, expected):
     path = tmp_path / "e.csv"
