@@ -12,10 +12,10 @@ over many random frequencies.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,6 +41,12 @@ DEFAULT_N0_FRACTION = 0.28
 #: Every count that sizes an array stays below this: above 2**53 a float no
 #: longer counts one by one, and numpy cannot address 2**60 float64 values.
 _MAX_COUNT = 2**53
+
+#: The sample magnitudes that the kernels take as they are: the highest
+#: power they take of the samples, a growth rate's variance of squared MSD
+#: values (about s**4 N**8), stays far inside the float range at any length
+#: numpy can hold.  ``_in_range`` scales the others.
+_UNSCALED = (2.0**-64, 2.0**64)
 
 
 class Method(str, Enum):
@@ -357,8 +363,9 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
     ``n0`` must satisfy ``1 <= n0 < N``: the curve is only meaningful on a
     prefix of the available lags.
     """
-    n_len = len(traj)
-    if not 1 <= n0 < n_len:
+    _check_count("n0", n0, 1)
+    n0, n_len = int(n0), len(traj)
+    if n0 >= n_len:
         raise InvalidParameterError("n0 must satisfy 1 <= n0 < len(trajectory)")
     steps = np.diff([traj.p + 1j * traj.q], prepend=0.0)
     return MsdCurve(c=traj.c, values=_msd_rows(steps, n0, _fast_len(n_len + n0))[0])
@@ -371,11 +378,6 @@ _CHUNK_ELEMENTS = 1 << 17
 #: whatever the CPU count, so that its memory (one workspace of a chunk's
 #: size per worker) does not grow with the machine.
 _CHUNKS_IN_FLIGHT = 2
-
-#: ``held``: the workspaces, one per worker, that this thread's last
-#: ``run_test`` call kept for its next one.
-_workspaces = threading.local()
-
 
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least ``n``."""
@@ -547,8 +549,8 @@ def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Ag
 
 def classify(k_m: float, bands: ClassificationBands | None = None) -> Regime:
     """Map an aggregated growth rate onto a regularity regime."""
-    if k_m < 0.0:
-        raise InvalidParameterError("k_m must be non-negative")
+    if not k_m >= 0.0:  # NaN too
+        raise InvalidParameterError(f"k_m must be non-negative, got {k_m!r}")
     bands = bands or ClassificationBands()
     if k_m < bands.regular_max:
         return Regime.REGULAR
@@ -571,6 +573,39 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _in_range(samples: np.ndarray) -> np.ndarray:
+    """``samples`` as they are when their largest magnitude lies inside
+    ``_UNSCALED`` (or is 0), else scaled by the power of two that brings it
+    into [0.5, 1).  Scaling by a power of two is exact, short of samples that
+    turn subnormal, which are negligible beside the largest, so a
+    scale-invariant result is the same at any finite magnitude; inside the
+    band nothing is copied and no result moves."""
+    top = max(float(samples.max()), -float(samples.min()))
+    if top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1]:
+        return samples
+    return np.ldexp(samples, -math.frexp(top)[1])
+
+
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Allocate and free one untouched 16 MiB block, once per process.
+
+    Under glibc, freeing a block that malloc had mapped (and of at most
+    32 MiB) raises its mmap threshold to that size and its trim threshold to
+    twice it, so from then on a freed block below 16 MiB stays in the heap
+    with its pages in memory for the next allocation to reuse: `run_test`'s
+    workspaces, numpy's FFT scratch and the growth rates' temporaries alike,
+    which would otherwise be mapped and faulted in again on every row.
+    Measured on 2 CPUs: once per process, not per call, because after the
+    first call the block comes from the heap, and a block on every call
+    raised `batch`'s peak memory by 5%; at least 8 MiB, because the trim
+    threshold must lie above one call's workspaces (a block under 4 MiB on
+    every call faulted more, not less); and in place of workspaces kept from
+    call to call, which beside it only raised the peak.  Under any other
+    allocator it does nothing."""
+    np.empty(1 << 24, dtype=np.uint8)
 
 
 def _draw_frequencies(config: TestConfig) -> np.ndarray:
@@ -618,12 +653,13 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     size = _fast_len(n_len + n0)
     rows = min(angles.size, max(1, _CHUNK_ELEMENTS // size))
     workers = min(-(-angles.size // rows), usable_cpus(), _CHUNKS_IN_FLIGHT)
-    mean = float(np.mean(series.samples))
+    samples = _in_range(series.samples)
+    mean = float(np.mean(samples))
 
     def worker(share: np.ndarray, space: list[np.ndarray]) -> list[GrowthRate]:
         done = []
         for chunk in np.split(share, range(rows, share.size, rows)):
-            values = _msd_rows(_steps(series.samples, chunk, space[0]), n0, size, *space)
+            values = _msd_rows(_steps(samples, chunk, space[0]), n0, size, *space)
             if config.msd_variant is MsdVariant.CORRECTED:
                 values -= oscillation_correction(chunk, n0, mean)
             done += _growth_rates(values, chunk, config.method)
@@ -635,29 +671,15 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     # (the three buffers of `_msd_rows`), so rows reuse pages rather than
     # fault fresh ones in.  The caller allocates them all: pages a pool thread
     # frees stay in its malloc arena, and a later call's thread that finds it
-    # still taken builds another.  The caller keeps them for its next call,
-    # which reuses each buffer that is large enough, so a warm call maps no
-    # fresh chunk-sized memory.  Only a chunk within the budget is kept (not
-    # one row of more than about 102k samples): a thread holds at most
-    # `_CHUNKS_IN_FLIGHT` workspaces, each of about 3 * `_CHUNK_ELEMENTS`
-    # complex entries or fewer, until the thread exits.
+    # still taken builds another.
     # The pool lives for one call: a module-level one would not survive fork.
     need = (rows * max(math.prod(_grid(n_len)), size // 2 + 1), rows * size, 3 * rows * n0)
-    keep = rows * size <= _CHUNK_ELEMENTS
-    held = getattr(_workspaces, "held", []) if keep else []
-    _workspaces.held = []
-    spaces = []
-    for index in range(workers):
-        old = held[index] if index < len(held) else [np.empty(0, dtype=complex)] * len(need)
-        spaces.append([buffer if buffer.size >= count else np.empty(count, dtype=complex)
-                       for buffer, count in zip(old, need)])
-    del held, old  # what was not reused goes now, not after the call
+    _keep_freed_blocks()
+    spaces = [[np.empty(count, dtype=complex) for count in need] for _ in range(workers)]
     first, *rest = np.array_split(angles, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         others = pool.map(worker, rest, spaces[1:])
         rates = worker(first, spaces[0]) + [rate for done in others for rate in done]
-    if keep:
-        _workspaces.held = spaces
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

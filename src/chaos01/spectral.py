@@ -8,21 +8,14 @@ rectangular-window periodogram, rescaled to a unit maximum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _in_range
 from .errors import MissingSampleRateError, SeriesTooShortError
 
 MIN_PSD_SAMPLES = 8
-
-#: The largest sample magnitudes that psd transforms as they are: their
-#: squared amplitudes, at most (N * 2**64)**2, stay far inside the float
-#: range.  Samples outside are first scaled by a power of two into [0.5, 1).
-_UNSCALED = (2.0**-64, 2.0**64)
-
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -53,13 +46,8 @@ def psd(series: TimeSeries) -> PsdEstimate:
     n = len(series)
     if n < MIN_PSD_SAMPLES:
         raise SeriesTooShortError(f"psd needs at least {MIN_PSD_SAMPLES} samples, got {n}")
-    samples = series.samples
-    top = max(float(samples.max()), -float(samples.min()))
-    if top > 0.0 and not _UNSCALED[0] <= top <= _UNSCALED[1]:
-        # a power of two scales exactly, and keeps the squares from overflowing
-        # or underflowing; the normalized power is the same at any scale
-        samples = np.ldexp(samples, -math.frexp(top)[1])
-    amplitudes = np.fft.rfft(samples)
+    # the normalized power is the same at any scale
+    amplitudes = np.fft.rfft(_in_range(series.samples))
     power = np.abs(amplitudes) ** 2
     peak = power.max()
     if peak > 0.0:
@@ -76,13 +64,8 @@ def normalize_amplitude(series: TimeSeries) -> TimeSeries:
     growth statistic is scale-invariant), so it is safe to apply before
     analysis for display purposes.
     """
-    s = series.samples
+    s = _in_range(series.samples)  # so that hi - lo cannot overflow
     lo = float(s.min())
     hi = float(s.max())
-    if hi == lo:
-        scaled = np.full(s.size, 0.5)
-    elif math.isfinite(hi - lo):
-        scaled = (s - lo) / (hi - lo)
-    else:  # the range overflows; halving is exact there and keeps every step finite
-        scaled = (s / 2 - lo / 2) / (hi / 2 - lo / 2)
+    scaled = np.full(s.size, 0.5) if hi == lo else (s - lo) / (hi - lo)
     return TimeSeries(scaled, sample_rate=series.sample_rate, label=series.label)

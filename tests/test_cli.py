@@ -233,6 +233,20 @@ def test_analyze_zero_series_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("factor", [1e100, 2.0**-1000])
+def test_analyze_at_extreme_magnitudes_prints_the_unscaled_k_m(tmp_path, factor):
+    # before the scaling, 1e100 printed K_m=0.0 label=regular with overflow
+    # warnings, and 2**-1000 exited 4 with no usable growth rate; a fresh
+    # process, so that a warning would reach stderr
+    noise = c.gen_uniform_random(5000, seed=3).samples
+    c.write_series(c.TimeSeries(noise * factor), tmp_path / "noise.txt")
+    proc = source_tree_python(["-m", "chaos01.cli", "analyze", str(tmp_path / "noise.txt")])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    k_m, label = (field.split("=")[1] for field in proc.stdout.split()[:2])
+    assert float(k_m) == pytest.approx(c.run_test(c.TimeSeries(noise)).k_m, rel=1e-12)
+    assert label == c.Regime.CHAOTIC_OR_STOCHASTIC.value
+
+
 def test_analyze_invalid_config_exits_2(runner, tmp_path):
     src = _generate(runner, tmp_path, "uniform_random", n=300)
     result = runner.invoke(main, ["analyze", str(src), "--num-c", "0"])

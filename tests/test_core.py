@@ -7,6 +7,7 @@ import platform
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -173,10 +174,15 @@ def test_msd_zero_trajectory_is_zero():
     assert not curve.values.any()
 
 
-@pytest.mark.parametrize("n0", [0, 5, 6, -1])
+@pytest.mark.parametrize("n0", [0, 5, 6, -1, 2.5, 3.0, True, "3", None, np.float64(3.0)])
 def test_msd_rejects_bad_lag_window(n0):
     with pytest.raises(c.InvalidParameterError):
         c.msd(_traj(np.arange(5.0), np.arange(5.0)), n0)
+
+
+def test_msd_takes_a_numpy_integer_lag_window():
+    traj = _traj(np.arange(5.0), np.arange(5.0) ** 2)
+    assert np.array_equal(c.msd(traj, np.int64(3)).values, c.msd(traj, 3).values)
 
 
 @given(samples=finite_samples, angle=angles)
@@ -443,6 +449,12 @@ def test_classify_band_edges(k_m, expected):
 def test_classify_rejects_negative():
     with pytest.raises(c.InvalidParameterError):
         c.classify(-0.1)
+
+
+def test_classify_rejects_nan():
+    # NaN < 0.0 is false, so a sign check alone labelled it chaotic
+    with pytest.raises(c.InvalidParameterError, match="^k_m must be non-negative, got nan$"):
+        c.classify(math.nan)
 
 
 def test_classify_with_custom_bands():
@@ -725,7 +737,50 @@ def test_run_test_inside_a_worker_thread_matches_the_calling_thread(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# workspaces that run_test keeps from one call to the next
+# any finite magnitude
+
+def _small_or_zero(x):
+    return x if abs(x) >= 2.0**-30 else 0.0
+
+
+# ordinary series: no sample is far enough below the largest to turn
+# subnormal when the largest is brought into [0.5, 1)
+_ORDINARY = st.one_of(
+    st.lists(st.floats(-2.0**10, 2.0**10).map(_small_or_zero), min_size=3, max_size=60),
+    st.builds(lambda n, seed: c.gen_uniform_random(n, seed).samples - 0.5,
+              st.integers(3, 2000), st.integers(0, 2**32)),
+    st.builds(lambda n: c.gen_quasiperiodic(5000.0, n).samples, st.integers(3, 2000)),
+)
+
+
+def _magnitude_outcome(samples, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = c.run_test(c.TimeSeries(samples), config)
+        except c.AllDegenerateError as error:
+            return str(error)
+    return _outcome(result), result.label, result.short_series
+
+
+@given(samples=_ORDINARY, e=st.integers(-1000, 1000), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(c.MsdVariant))
+@example(samples=[1.0, -2.0, 3.0, 0.5], e=1000, seed=0, variant=c.MsdVariant.PLAIN)
+@example(samples=[1.0, -2.0, 3.0, 0.5], e=-1000, seed=0, variant=c.MsdVariant.PLAIN)
+@example(samples=[1.0, -2.0, 3.0, 0.5], e=65, seed=0, variant=c.MsdVariant.CORRECTED)
+@example(samples=[1.0, -2.0, 3.0, 0.5], e=-66, seed=0, variant=c.MsdVariant.CORRECTED)
+@settings(max_examples=60, deadline=None)
+def test_run_test_is_the_same_at_any_power_of_two_scale(samples, e, seed, variant):
+    # ldexp(s, e) is exact but for samples that turn subnormal, so it is
+    # compared with the run on its own samples scaled back; correlation is
+    # scale-invariant bit for bit, and nothing may overflow or warn
+    config = c.TestConfig(num_c=20, seed=seed, msd_variant=variant)
+    scaled = np.ldexp(np.asarray(samples, dtype=float), e)
+    assert _magnitude_outcome(scaled, config) == _magnitude_outcome(np.ldexp(scaled, -e), config)
+
+
+# ---------------------------------------------------------------------------
+# memory that run_test gets back from earlier calls, still holding their data
 
 _HELD_CONFIG = c.TestConfig(num_c=60, seed=5)  # two chunks at 2000 samples, 60 rows at 100k
 
@@ -754,17 +809,14 @@ def fresh_outcomes():
 
 
 def _run_lengths(lengths):
-    """Outcomes of one thread's calls at each length in turn, checking what it holds."""
-    done = []
-    for n_len in lengths:
-        done.append(_outcome(c.run_test(c.gen_quasiperiodic(5000.0, n_len), _HELD_CONFIG)))
-        assert 1 <= len(core._workspaces.held) <= core._CHUNKS_IN_FLIGHT
-    return done
+    """Outcomes of one thread's calls at each length in turn."""
+    return [_outcome(c.run_test(c.gen_quasiperiodic(5000.0, n_len), _HELD_CONFIG))
+            for n_len in lengths]
 
 
 def test_run_test_values_do_not_depend_on_what_its_thread_held(monkeypatch, fresh_outcomes):
-    # buffers kept from a 100k call are reused, full of its data, at 2000, then
-    # those at 800, and so on
+    # heap memory freed by a 100k call is reused, full of its data, at 2000,
+    # then that freed at 800, and so on
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     lengths = (100_000, 2000, 800, 2000)
     for n_len, outcome in zip(lengths, _run_lengths(lengths)):
@@ -784,29 +836,47 @@ def test_run_test_values_do_not_depend_on_another_threads_workspaces(monkeypatch
             assert outcome == fresh_outcomes[n_len], n_len
 
 
-def test_run_test_holds_nothing_after_a_chunk_over_the_budget(monkeypatch):
-    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-    c.run_test(c.gen_quasiperiodic(5000.0, 2000), _HELD_CONFIG)
-    assert len(core._workspaces.held) == 2
-    c.run_test(c.gen_quasiperiodic(5000.0, 150_000), c.TestConfig(num_c=2))
-    assert core._workspaces.held == []
+def _faults_in_a_fresh_process(code):
+    """Minor page faults of the statement ``run`` after ``code`` has run its
+    set-up, in a fresh process."""
+    proc = source_tree_python(["-c", code + (
+        "\nimport resource\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")])
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
-def test_a_warm_run_test_allocates_no_chunk_sized_buffer(monkeypatch):
-    # at 2000 samples one chunk is a worker's whole slice, so without kept
-    # workspaces every call allocates about 5 MiB per worker
-    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-    series = c.gen_quasiperiodic(5000.0, 2000)
-    c.run_test(series)
-    spectrum = core._workspaces.held[0][1]
-    tracemalloc.start()
-    try:
-        c.run_test(series)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert core._workspaces.held[0][1] is spectrum
-    assert peak < spectrum.nbytes
+_GLIBC_ONLY = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc's page faults")
+
+
+@_GLIBC_ONLY
+def test_a_warm_run_test_faults_in_almost_no_pages():
+    # at 2000 samples one chunk is a worker's whole slice: memory handed back
+    # to the OS after each call costs about 350 faults on the next
+    faults = _faults_in_a_fresh_process(
+        "import chaos01 as c\n"
+        "series = c.gen_quasiperiodic(5000.0, 2000)\n"
+        "c.run_test(series)\n"
+        "run = lambda: c.run_test(series)")
+    assert faults < 100
+
+
+@_GLIBC_ONLY
+def test_run_test_after_a_file_load_reuses_freed_pages(tmp_path):
+    # numpy's FFT scratch at 100k samples is mapped and faulted in on every
+    # row unless a larger block was freed first, which the array reader's
+    # load does not do: about 78k faults
+    path = tmp_path / "long.csv"
+    c.write_series(c.gen_quasiperiodic(5000.0, 100_000), path, "time_value_csv")
+    faults = _faults_in_a_fresh_process(
+        "import chaos01 as c\n"
+        f"series = c.load_series(c.SeriesFile({str(path)!r}, 'time_value_csv'))\n"
+        "run = lambda: c.run_test(series, c.TestConfig(seed=1))")
+    assert faults < 20_000
 
 
 def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
@@ -837,12 +907,11 @@ def test_run_test_memory_stays_near_one_row(monkeypatch):
     assert peak < 32 * 2**20
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-                    reason="counts glibc's page faults")
+@_GLIBC_ONLY
 def test_run_test_rows_reuse_pages_instead_of_faulting_in_fresh_ones():
     # 100k samples, one angle per chunk.  Per-row arrays handed back to the
     # OS and faulted in again cost about 2900 faults a row; each worker's
-    # reused buffers leave the FFT's own scratch, about 500 a row.
+    # reused buffers and the FFT scratch that the heap gives back, none.
     import resource  # Unix only
 
     def faults(num_c):

@@ -11,7 +11,7 @@ Each case below runs its steps in order in a new, empty directory, once per
 tree.  Every step is a fresh ``python`` process that imports chaos01 from
 that tree's ``src``: a CLI command, a CLI command that reads a file on its
 standard input (as the file itself, or through a pipe), or a short library
-call that writes an input file the CLI cannot write.  Paths are relative to
+call that writes an input file the CLI cannot write or prints K values.  Paths are relative to
 the case directory, so printed lines and summary rows do not depend on
 where it is; a path into the tree itself, such as the module a Python
 warning names, is printed as ``<tree>``.  For each step the ledger records
@@ -53,16 +53,6 @@ def _stdin(name: str, pipe: bool, *words: str) -> list[str]:
     feed = f"input=open({name!r}, 'rb').read()" if pipe else f"stdin=open({name!r}, 'rb')"
     return ["py", f"import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-m', "
                   f"'chaos01.cli', *{list(words)!r}], {feed}).returncode)"]
-
-
-def _one_cpu(*words: str) -> list[str]:
-    """A step that runs the CLI's ``words`` pinned to one CPU, where run_test
-    starts no worker thread: warnings from several threads reach stderr in an
-    order that changes from run to run."""
-    return ["py", "import os, subprocess, sys; "
-                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-                  "sys.exit(subprocess.run([sys.executable, '-m', 'chaos01.cli', "
-                  f"*{list(words)!r}]).returncode)"]
 
 
 # The "reader" case's inputs, each one edit of tv.csv (time_value_csv) or
@@ -120,7 +110,7 @@ pathlib.Path('scbig-two').write_bytes(sc[:head] + b'\n' + sc[head:] + b'\xff')
 # them: noise with the values where repr's digits or layout are hardest
 # (subnormals, -0.0, integral floats, the 16-digit edge and the 1e-4/1e-5
 # edge) set at every 97th sample.  "wide" also holds +-1e300, +-1e-300 and
-# the largest float, on which the kernel overflows and warns.
+# the largest float, which the kernel takes scaled by a power of two.
 _EXPORT_FILES = r"""
 import chaos01 as c, numpy as np
 edges = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1.0, -2.0, 123.0, 4096.0,
@@ -132,6 +122,41 @@ for name, extra in (('mild', []), ('wide', [1e300, -1e300, 1e-300, -1e-300,
     series = c.TimeSeries(values, sample_rate=1000.0)
     c.write_series(series, f'{name}.txt')
     c.write_series(series, f'{name}.csv', 'time_value_csv')
+"""
+
+
+# The "magnitude" case's inputs: white noise (K_m 0.978) at 1e100 and 2**-1000,
+# where the kernel overflowed or underflowed before it scaled its samples.
+_MAGNITUDE_FILES = r"""
+import chaos01 as c, numpy as np
+noise = c.gen_uniform_random(5000, seed=3).samples
+c.write_series(c.TimeSeries(noise * 1e100, sample_rate=1000.0), 'big.txt')
+c.write_series(c.TimeSeries(np.ldexp(noise, -1000), sample_rate=1000.0), 'tiny.txt')
+"""
+
+# The "kvalues" case: run_test on 120 configurations (length x signal x method
+# x MSD variant x workers), all in one process, by ascending or descending
+# length (the step's argument), so that memory reused from earlier calls holds
+# other lengths' data.  One line per configuration: its sha256 over the angles,
+# K_c, flags and K_m as float.hex.
+_KVALUES = r"""
+import hashlib, itertools, sys
+import chaos01 as c
+from chaos01 import core
+core._CHUNKS_IN_FLIGHT = 3
+signals = {'quasi_periodic': lambda n: c.gen_quasiperiodic(5000.0, n),
+           'henon': lambda n: c.gen_henon(total=n + 1000, keep=n)}
+lengths = sorted((800, 2000, 5000, 20000, 100000), reverse=sys.argv[1] == 'down')
+for n, kind in itertools.product(lengths, signals):
+    series = signals[kind](n)
+    for method, variant, workers in itertools.product(c.Method, c.MsdVariant, (1, 2, 3)):
+        core.usable_cpus = lambda: workers
+        result = c.run_test(series, c.TestConfig(method=method, msd_variant=variant))
+        digest = hashlib.sha256()
+        for rate in result.per_c:
+            digest.update(f'{rate.c.hex()} {rate.k.hex()} {rate.degenerate}\n'.encode())
+        digest.update(result.k_m.hex().encode())
+        print(n, kind, method.value, variant.value, workers, digest.hexdigest())
 """
 
 
@@ -210,12 +235,12 @@ CASES: dict[str, list[list[str]]] = {
     ],
     "export": [
         ["py", _EXPORT_FILES],
-        # the kernel overflows and warns on "wide", so its analyze runs on one CPU
-        *(step for name, run in (("mild", lambda *words: ["cli", *words]), ("wide", _one_cpu))
+        *(step for name in ("mild", "wide")
           for ext, fmt in ((".txt", "single_column"), (".csv", "time_value_csv"))
           for step in (["cli", "psd", name + ext, "--format", fmt, "--out", f"{name}{ext}.psd"],
-                       run("analyze", name + ext, "--format", fmt, "--out", f"{name}{ext}.json",
-                           "--scatter", f"{name}{ext}.kc", "--trajectory", f"{name}{ext}.traj"))),
+                       ["cli", "analyze", name + ext, "--format", fmt, "--out",
+                        f"{name}{ext}.json", "--scatter", f"{name}{ext}.kc",
+                        "--trajectory", f"{name}{ext}.traj"])),
         # a sawtooth of short decimals and its spectrum, and a file of many blocks
         ["cli", "generate", "--kind", "sawtooth", "--fs", "1", "--f", "0.125", "--n", "3000",
          "--out", "saw.csv"],
@@ -223,6 +248,10 @@ CASES: dict[str, list[list[str]]] = {
         ["cli", "generate", "--kind", "uniform_random", "--n", "100000", "--seed", "5",
          "--out", "noise.csv"],
     ],
+    "magnitude": [["py", _MAGNITUDE_FILES],
+                  *(["cli", command, name] for name in ("big.txt", "tiny.txt")
+                    for command in ("analyze", "psd"))],
+    "kvalues": [["py", _KVALUES, order] for order in ("up", "down")],
     "help": [["cli", *words, "--help"] for words in
              ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
     "errors": [
