@@ -20,6 +20,7 @@ _EXPORTS = {
         "InvalidParameterError",
         "MissingSampleRateError",
         "NonUniformSamplingError",
+        "PathOverflowError",
         "SeriesFormatError",
         "SeriesTooShortError",
     ),

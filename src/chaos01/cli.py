@@ -205,10 +205,12 @@ def analyze(input, fmt, out, scatter, trajectory, trajectory_c, **options):
     _check_targets([input], [path for path in (out, scatter, trajectory) if path is not None])
     series = load_series(SeriesFile(path=input, format=fmt))
     result = run_test(series, config)
+    # before any file is written, so that a path that overflows writes none
+    path = None if trajectory is None else translation_variables(series, trajectory_c)
     export_result(result, out)
     export_scatter(result, scatter)
-    if trajectory is not None:
-        export_trajectory(translation_variables(series, trajectory_c), trajectory)
+    if path is not None:
+        export_trajectory(path, trajectory)
     if result.short_series:
         click.echo(f"note: only {len(series)} samples, treat the statistic as advisory", err=True)
     click.echo(f"K_m={result.k_m!r} label={result.label.value}")

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     AllDegenerateError,
     InvalidParameterError,
+    PathOverflowError,
     SeriesTooShortError,
 )
 
@@ -295,9 +296,15 @@ def translation_variables(series: TimeSeries, c: float) -> TranslationTrajectory
     ------
     InvalidParameterError
         If ``c`` is outside the open interval (0, 2*pi).
+    PathOverflowError
+        If the path passes the largest float.
     """
     _check_angle("c", c)
-    z = np.cumsum(_steps(series.samples, np.array([c]))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.cumsum(_steps(series.samples, np.array([c]))[0])
+    # The steps are finite, so a path that is not finite somewhere ends so.
+    if not np.isfinite(z[-1]):
+        raise PathOverflowError(f"the path at c={c!r} passes the largest float")
     return TranslationTrajectory(c=c, p=z.real.copy(), q=z.imag.copy())
 
 
@@ -391,13 +398,22 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
               per_lag: np.ndarray | None = None) -> np.ndarray:
     """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
     steps are each row; ``steps`` is overwritten.  As ``|dz|^2 = dp^2 + dq^2``,
-    the sum at lag ``n`` is two tails of ``sum |z|^2`` less twice the real
-    autocorrelation, which one FFT of ``z`` padded to ``L = size >= N + n0``
-    (no lag wraps) gives for all lags.  The power ``P = |Y|^2`` of a complex path has
-    no symmetry, but the real part of its inverse transform is the inverse
-    transform of its even part ``(P[k] + P[(L - k) % L]) / 2``, a real and
-    symmetric sequence, so one real inverse FFT of half length takes twice
-    the autocorrelation from ``P[k] + P[(L - k) % L]``, ``k = 0 .. L // 2``.
+    the sum at lag ``n`` is ``ends = sum_{j>=n} |z_j|^2 + sum_{j<N-n} |z_j|^2``
+    less twice the real autocorrelation, which one FFT of ``z`` padded to
+    ``L = size >= N + n0`` (no lag wraps) gives for all lags.  The power
+    ``P = |Y|^2`` of a complex path has no symmetry, but the real part of its
+    inverse transform is the inverse transform of its even part
+    ``(P[k] + P[(L - k) % L]) / 2``, a real and symmetric sequence, so one
+    real inverse FFT of half length takes twice the autocorrelation from
+    ``P[k] + P[(L - k) % L]``, ``k = 0 .. L // 2``.
+
+    The path is the one running sum of length ``N``.  With ``E = sum |z|^2``,
+    which Parseval gives as ``sum P / L``,
+    ``ends(n) = 2E - sum_{j<n} (|z_j|^2 + |z_{N-1-j}|^2)``, and the drift
+    term's ``sum_{j>=n} z_j - sum_{j<N-n} z_j`` is
+    ``sum_{j<n} (z_{N-1-j} - z_j)``: running sums of the path's first and
+    last ``n0`` points only, which round less than sums over all ``N``, and
+    which hold the GIL for less time (see ``run_test``).
 
     ``table``, ``spectrum`` and ``per_lag`` are flat complex scratch of at
     least ``rows * (L // 2 + 1)``, ``rows * L`` and ``3 * rows * n0``
@@ -426,19 +442,22 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     y -= drift
     y[:, 0] = 0.0
     np.cumsum(y, axis=1, out=y)
-    # The running sums of |y|^2 and of y use the spectrum's memory until the
-    # FFT needs it.
-    energy = np.square(y.real, out=scratch[:rows * n_len].reshape(rows, n_len))
-    energy += np.square(y.imag, out=scratch[rows * n_len:2 * rows * n_len].reshape(rows, n_len))
-    np.cumsum(energy, axis=1, out=energy)
-    np.subtract(energy[:, -1:], energy[:, :n0], out=ends)
-    ends += energy[:, n_len - n0 - 1:n_len - 1][:, ::-1]
-    level = np.cumsum(y, axis=1, out=spectrum[:rows * n_len].reshape(rows, n_len))
-    np.subtract(level[:, -1:], level[:, :n0], out=shift)
-    shift -= level[:, n_len - n0 - 1:n_len - 1][:, ::-1]
+    # The head and tail running sums, before the even part overwrites y:
+    # `ends` holds sum_{j<n} (|y_j|^2 + |y_{N-1-j}|^2) until the spectrum
+    # gives 2E, and `shift` sum_{j<n} (y_{N-1-j} - y_j).  `out` is scratch
+    # until its turn.
+    head, tail = y[:, :n0], y[:, :-n0 - 1:-1]
+    np.square(head.real, out=ends)
+    ends += np.square(head.imag, out=out)
+    ends += np.square(tail.real, out=out)
+    ends += np.square(tail.imag, out=out)
+    np.cumsum(ends, axis=1, out=ends)
+    np.subtract(tail, head, out=shift)
+    np.cumsum(shift, axis=1, out=shift)
     transform = np.fft.fft(y, size, axis=1, out=spectrum[:rows * size].reshape(rows, size))
     power = np.square(transform.real, out=transform.real)
     power += np.square(transform.imag, out=transform.imag)
+    np.subtract(power.sum(axis=1, keepdims=True) * (2.0 / size), ends, out=ends)
     # The even part is built where the steps were, as complex so that the
     # inverse FFT need not cast a copy, and its output lands in the spectrum.
     even = table[:rows * (half + 1)].reshape(rows, half + 1)
@@ -484,7 +503,8 @@ def growth_rate_regression(curve: MsdCurve) -> GrowthRate:
     Non-positive values of ``M`` have no logarithm and are skipped; when
     fewer than two usable points remain the result is degenerate.
     """
-    return _growth_rates([curve.values], [curve.c], Method.REGRESSION)[0]
+    return _growth_rates([_in_range(np.asarray(curve.values, dtype=float))], [curve.c],
+                         Method.REGRESSION)[0]
 
 
 def growth_rate_correlation(curve: MsdCurve) -> GrowthRate:
@@ -494,7 +514,8 @@ def growth_rate_correlation(curve: MsdCurve) -> GrowthRate:
     individual runaway fits.  A flat curve has no defined correlation and
     yields a degenerate result.
     """
-    return _growth_rates([curve.values], [curve.c], Method.CORRELATION)[0]
+    return _growth_rates([_in_range(np.asarray(curve.values, dtype=float))], [curve.c],
+                         Method.CORRELATION)[0]
 
 
 def _growth_rates(values: np.ndarray, angles, method: Method) -> list[GrowthRate]:
@@ -665,8 +686,10 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
             done += _growth_rates(values, chunk, config.method)
         return done
 
-    # numpy's FFTs and ufuncs release the GIL, so workers on threads share
-    # the CPUs.  The caller computes the first slice and a pool thread each
+    # numpy's FFTs, ufuncs and sums release the GIL, so workers on threads
+    # share the CPUs; its running sums (cumsum along an axis, or in place)
+    # hold it in numpy 2.4, which is why `_msd_rows` makes only one of length
+    # N per row.  The caller computes the first slice and a pool thread each
     # other one (none if there is none), in chunks of `rows` in one workspace
     # (the three buffers of `_msd_rows`), so rows reuse pages rather than
     # fault fresh ones in.  The caller allocates them all: pages a pool thread

@@ -30,6 +30,15 @@ class AllDegenerateError(Chaos01Error):
     """
 
 
+class PathOverflowError(Chaos01Error):
+    """The translation path of a series leaves the float range.
+
+    Its running sums pass the largest float, so the trajectory has no finite
+    value to return.  ``run_test`` is not affected: it scales the samples
+    first, and its growth rates do not depend on their scale.
+    """
+
+
 class DivergenceError(Chaos01Error):
     """A map iteration left the basin of attraction and blew up."""
 

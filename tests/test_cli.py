@@ -247,6 +247,18 @@ def test_analyze_at_extreme_magnitudes_prints_the_unscaled_k_m(tmp_path, factor)
     assert label == c.Regime.CHAOTIC_OR_STOCHASTIC.value
 
 
+def test_analyze_trajectory_past_the_largest_float_exits_4_and_writes_nothing(tmp_path):
+    # it used to write inf in 49 of the 50 rows, warn and exit 0; K itself is
+    # fine, as run_test scales the samples
+    c.write_series(c.TimeSeries(np.full(50, 1.7e308)), tmp_path / "big.txt")
+    proc = source_tree_python(["-m", "chaos01.cli", "analyze", str(tmp_path / "big.txt"),
+                               "--trajectory", str(tmp_path / "big.traj.csv"),
+                               "--trajectory-c", "0.001"])
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: the path at c=0.001 passes the largest float\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["big.txt"]
+
+
 def test_analyze_invalid_config_exits_2(runner, tmp_path):
     src = _generate(runner, tmp_path, "uniform_random", n=300)
     result = runner.invoke(main, ["analyze", str(src), "--num-c", "0"])

@@ -40,6 +40,15 @@ def test_translation_angle_must_lie_strictly_inside_the_circle(random_series):
         assert len(c.translation_variables(random_series, c_value)) == len(random_series)
 
 
+def test_translation_path_past_the_largest_float_raises():
+    # 50 samples of 1.7e308 at a slow angle: the path passes 1.8e308 after two
+    with pytest.raises(c.PathOverflowError,
+                       match=r"^the path at c=0.001 passes the largest float$"):
+        c.translation_variables(c.TimeSeries(np.full(50, 1.7e308)), 0.001)
+    traj = c.translation_variables(c.TimeSeries(np.full(50, 1.7e308 / 50)), 0.001)
+    assert np.isfinite(traj.p).all() and np.isfinite(traj.q).all()
+
+
 def test_translation_example_quarter_turn():
     traj = c.translation_variables(c.TimeSeries([1.0, 2.0, 3.0]), math.pi / 2)
     assert np.allclose(traj.p, [0.0, -2.0, -2.0], atol=1e-12)
@@ -289,6 +298,34 @@ def test_msd_kernel_keeps_short_lags_at_a_million_samples():
         assert got[lag - 1] == pytest.approx(want, rel=1e-9), lag
 
 
+def test_msd_kernel_keeps_short_lags_near_a_resonance_at_a_million_samples():
+    # Near, not at, a resonance the path is an arc: the short-lag sums are
+    # differences of terms of order sum |z|^2.  Full-length running sums of
+    # |z|^2 put M(1) 1.1e-4 and M(10) 1.9e-6 off here; head and tail sums with
+    # the total from the spectrum put them 1.9e-6 and 2.5e-8 off.
+    series = c.gen_sawtooth(100.0, 5000.0, 10**6)
+    traj = c.translation_variables(series, 2.0 * math.pi / 50.0 + 1e-5)
+    got = c.msd(traj, c.lag_window(len(series), c.DEFAULT_N0_FRACTION)).values
+    want = oracles.msd(traj.p, traj.q, (1, 10))
+    assert got[0] == pytest.approx(want[0], rel=1e-5)
+    assert got[9] == pytest.approx(want[1], rel=1e-7)
+
+
+def test_msd_kernel_worst_relative_error_over_random_angles():
+    # The worst over 81 curves is set by the angles nearest a resonance;
+    # full-length running sums of |z|^2 gave 1.1e-10, head and tail sums 2.5e-12.
+    angles = np.random.default_rng(1).uniform(0.0, c.TWO_PI, 27)
+    worst = 0.0
+    for series in (c.TimeSeries(c.gen_sine(n=5000).samples + 0.7), c.gen_sawtooth(n=5000),
+                   c.gen_henon(keep=2000)):
+        n0 = c.lag_window(len(series), c.DEFAULT_N0_FRACTION)
+        for angle in angles:
+            traj = c.translation_variables(series, angle)
+            want = oracles.msd(traj.p, traj.q, range(1, n0 + 1))
+            worst = max(worst, np.max(np.abs(c.msd(traj, n0).values / want - 1.0)))
+    assert worst < 1e-11
+
+
 def test_msd_fast_path_keeps_flat_trajectory_flat():
     # impulse series: the path jumps once then stays put, so every lag in
     # the plateau region must come out exactly zero, not rounding dust
@@ -362,6 +399,18 @@ def test_correlation_is_bounded(values):
     rate = c.growth_rate_correlation(c.MsdCurve(c=1.0, values=np.array(values)))
     assert math.isfinite(rate.k)
     assert abs(rate.k) <= 1.0
+
+
+@pytest.mark.parametrize("scale", [1e160, 2.0**1000, 1e-300])
+@pytest.mark.parametrize("growth", [c.growth_rate_correlation, c.growth_rate_regression])
+def test_growth_rate_of_a_curve_is_the_same_at_any_magnitude(growth, scale):
+    # unscaled, the correlation's squares overflowed at 1e160 (k = 0.0, not
+    # flagged, with a warning) and underflowed at 1e-300
+    values = np.linspace(1.0, 2.0, 400) ** 2
+    want = growth(c.MsdCurve(c=1.0, values=values))
+    got = growth(c.MsdCurve(c=1.0, values=values * scale))
+    assert not got.degenerate
+    assert got.k == pytest.approx(want.k, rel=1e-12)
 
 
 @given(samples=finite_samples, angle=angles,

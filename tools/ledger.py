@@ -19,9 +19,11 @@ the exit code and the sha256 of stdout, of stderr and of every file the
 step wrote or rewrote.
 
 The JSON written to ``--out`` lists every step with both trees' records and,
-for a step that differs, the last line of each tree's stderr.  The command
-exits 0 when every step is the same on both trees and 1 otherwise.  It uses
-only the standard library.
+for a step that differs, the last line of each tree's stderr.  A differing
+"kvalues" step also gets, for each configuration whose K values differ, the
+largest |dK_c|, |dK_m| and any label or degenerate flag that changed.  The
+command exits 0 when every step is the same on both trees and 1 otherwise.
+It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -126,21 +128,24 @@ for name, extra in (('mild', []), ('wide', [1e300, -1e300, 1e-300, -1e-300,
 
 
 # The "magnitude" case's inputs: white noise (K_m 0.978) at 1e100 and 2**-1000,
-# where the kernel overflowed or underflowed before it scaled its samples.
+# where the kernel overflowed or underflowed before it scaled its samples, and
+# 50 samples of 1.7e308, whose path at a slow angle passes the largest float.
 _MAGNITUDE_FILES = r"""
 import chaos01 as c, numpy as np
 noise = c.gen_uniform_random(5000, seed=3).samples
 c.write_series(c.TimeSeries(noise * 1e100, sample_rate=1000.0), 'big.txt')
 c.write_series(c.TimeSeries(np.ldexp(noise, -1000), sample_rate=1000.0), 'tiny.txt')
+c.write_series(c.TimeSeries(np.full(50, 1.7e308)), 'huge.txt')
 """
 
 # The "kvalues" case: run_test on 120 configurations (length x signal x method
 # x MSD variant x workers), all in one process, by ascending or descending
 # length (the step's argument), so that memory reused from earlier calls holds
-# other lengths' data.  One line per configuration: its sha256 over the angles,
-# K_c, flags and K_m as float.hex.
+# other lengths' data.  One JSON line per configuration: its sha256 over the
+# angles, K_c, flags and K_m as float.hex, and the K_c, flags, K_m and label
+# themselves, from which a differing step's changes are reported.
 _KVALUES = r"""
-import hashlib, itertools, sys
+import hashlib, itertools, json, sys
 import chaos01 as c
 from chaos01 import core
 core._CHUNKS_IN_FLIGHT = 3
@@ -156,8 +161,40 @@ for n, kind in itertools.product(lengths, signals):
         for rate in result.per_c:
             digest.update(f'{rate.c.hex()} {rate.k.hex()} {rate.degenerate}\n'.encode())
         digest.update(result.k_m.hex().encode())
-        print(n, kind, method.value, variant.value, workers, digest.hexdigest())
+        print(json.dumps({'config': [n, kind, method.value, variant.value, workers],
+                          'sha256': digest.hexdigest(),
+                          'k_c': [rate.k.hex() for rate in result.per_c],
+                          'degenerate': [rate.degenerate for rate in result.per_c],
+                          'k_m': result.k_m.hex(), 'label': result.label.value}))
 """
+
+
+def _kvalue_changes(base: bytes, head: bytes) -> list[dict] | None:
+    """For each "kvalues" configuration whose sha256 differs between the two
+    trees' output: the largest |dK_c|, |dK_m|, the label if it changed and the
+    angles (by draw index) whose degenerate flag changed.  None when the two
+    outputs are not the same configurations."""
+    try:
+        pairs = [(json.loads(old), json.loads(new))
+                 for old, new in zip(base.splitlines(), head.splitlines(), strict=True)]
+    except ValueError:
+        return None
+    if any(old["config"] != new["config"] for old, new in pairs):
+        return None
+    changes = []
+    for old, new in pairs:
+        if old["sha256"] == new["sha256"]:
+            continue
+        k_c = [abs(float.fromhex(a) - float.fromhex(b)) for a, b in zip(old["k_c"], new["k_c"])]
+        change = {"config": old["config"], "max_dk_c": max(k_c, default=0.0),
+                  "dk_m": abs(float.fromhex(old["k_m"]) - float.fromhex(new["k_m"]))}
+        if old["label"] != new["label"]:
+            change["label"] = [old["label"], new["label"]]
+        flags = [i for i, (a, b) in enumerate(zip(old["degenerate"], new["degenerate"])) if a != b]
+        if flags:
+            change["degenerate_changed"] = flags
+        changes.append(change)
+    return changes
 
 
 def _reader_args(command: str, name: str, tag: str) -> list[str]:
@@ -169,8 +206,9 @@ def _reader_args(command: str, name: str, tag: str) -> list[str]:
     return ["--format", fmt, *outputs]
 
 
-# Each step is ["cli", *arguments] or ["py", code].  A case's later steps read
-# what its earlier ones wrote.
+# Each step is ["cli", *arguments], ["py", code] or ["kv", code, argument], a
+# "py" step whose output is compared configuration by configuration when it
+# differs.  A case's later steps read what its earlier ones wrote.
 CASES: dict[str, list[list[str]]] = {
     "generate-defaults": [["cli", "generate", "--kind", kind, "--out", f"{kind}.csv"]
                           for kind in KINDS],
@@ -250,8 +288,10 @@ CASES: dict[str, list[list[str]]] = {
     ],
     "magnitude": [["py", _MAGNITUDE_FILES],
                   *(["cli", command, name] for name in ("big.txt", "tiny.txt")
-                    for command in ("analyze", "psd"))],
-    "kvalues": [["py", _KVALUES, order] for order in ("up", "down")],
+                    for command in ("analyze", "psd")),
+                  ["cli", "analyze", "huge.txt", "--trajectory", "huge.traj.csv",
+                   "--trajectory-c", "0.001"]],
+    "kvalues": [["kv", _KVALUES, order] for order in ("up", "down")],
     "help": [["cli", *words, "--help"] for words in
              ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
     "errors": [
@@ -312,8 +352,20 @@ def run_case(tree: Path, steps: list[list[str]]) -> list[dict]:
                 "stderr": _sha(stderr),
                 "files": {name: sha for name, sha in after.items() if before.get(name) != sha},
                 "stderr_last": _last_line(stderr),
+                "stdout_text": stdout if kind == "kv" else b"",
             })
     return records
+
+
+def _kvalue_summary(changes: list[dict] | None) -> str:
+    if changes is None:
+        return "K values: the two outputs are not the same configurations"
+    flags = sum(len(change.get("degenerate_changed", ())) for change in changes)
+    labels = sum("label" in change for change in changes)
+    worst = max((change["max_dk_c"] for change in changes), default=0.0)
+    k_m = max((change["dk_m"] for change in changes), default=0.0)
+    return (f"K values: {len(changes)} configurations differ; max |dK_c| {worst:.3g}, "
+            f"max |dK_m| {k_m:.3g}, {labels} labels and {flags} degenerate flags changed")
 
 
 def main(argv=None) -> int:
@@ -332,10 +384,13 @@ def main(argv=None) -> int:
         base, head = (run_case(tree.resolve(), case_steps) for tree in (args.base, args.head))
         for step, old, new in zip(case_steps, base, head):
             last = (old.pop("stderr_last"), new.pop("stderr_last"))
+            text = (old.pop("stdout_text"), new.pop("stdout_text"))
             entry = {"case": case, "step": step, "same": old == new, "base": old, "head": new}
             if old != new:
                 differ += 1
                 entry["stderr_last"] = last
+                if step[0] == "kv":
+                    entry["kvalues"] = _kvalue_changes(*text)
             steps.append(entry)
     files = sum(len(entry["head"]["files"]) for entry in steps)
     summary = {"steps": len(steps), "files_written": files, "differ": differ}
@@ -343,9 +398,13 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}: {len(steps)} steps, {files} files, {differ} differ")
     for entry in steps:
         if not entry["same"]:
-            print(f"  {entry['case']}: {' '.join(entry['step'][1:])[:80]}")
+            kind, *words = entry["step"]
+            shown = words[-1] if kind == "kv" else " ".join(words)
+            print(f"  {entry['case']}: {shown[:80]}")
             print(f"    exit {entry['base']['exit']} -> {entry['head']['exit']}; "
                   f"stderr {entry['stderr_last'][0]!r} -> {entry['stderr_last'][1]!r}")
+            if "kvalues" in entry:
+                print(f"    {_kvalue_summary(entry['kvalues'])}")
     return 1 if differ else 0
 
 
