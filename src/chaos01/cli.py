@@ -38,6 +38,7 @@ from .core import (
     TestConfig,
     _check_angle,
     _check_name,
+    _run_test,
     run_test,
     translation_variables,
     usable_cpus,
@@ -233,8 +234,9 @@ def psd_command(input, fmt, out):
 
 
 def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
-               config: TestConfig) -> list[list[str]]:
-    """Rows for one input file; failures become rows, never exceptions."""
+               config: TestConfig, cpus: int) -> list[list[str]]:
+    """Rows for one input file, each window's test on at most ``cpus``
+    threads; failures become rows, never exceptions."""
     rows: list[list[str]] = []
     try:
         # named by its path, on a view of the samples; segment names each window path@start
@@ -242,7 +244,7 @@ def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
         series = dataclasses.replace(series, label=str(path))
         for part in [series] if plan is None else segment(series, plan):
             try:
-                result = run_test(part, config)
+                result = _run_test(part, config, cpus)
                 degenerate = sum(r.degenerate for r in result.per_c)
                 rows.append([part.label, str(len(part)), repr(result.k_m),
                              result.label.value, str(degenerate), ""])
@@ -262,7 +264,8 @@ def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
 @click.option("--stride", type=int, default=None,
               help="Window step [default: --window, i.e. non-overlapping].")
 @click.option("--jobs", type=int, default=4, show_default=True,
-              help="Files analyzed at once, at most one per usable CPU.")
+              help="Files analyzed at once, at most one per usable CPU.  Each file's "
+                   "test runs on its share of the CPUs, at most two threads.")
 def batch(manifest, out, window, stride, jobs):
     """Analyze every file in a JSON manifest and write one summary CSV.
 
@@ -310,10 +313,14 @@ def batch(manifest, out, window, stride, jobs):
                      else f"{manifest_path.with_suffix('')}.summary.csv")
     _check_targets([manifest_path, *(base / name for name in names)], [target])
     with _replacing(target) as handle:  # an unwritable target fails before any work
-        # each run_test also runs its angle chunks on threads, so more file
-        # threads than CPUs only contend
-        with ThreadPoolExecutor(max_workers=min(jobs, len(names), usable_cpus())) as pool:
-            per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config), names))
+        # file threads times each run_test's threads stay within the CPUs:
+        # more only contend
+        available = usable_cpus()
+        threads = min(jobs, len(names), available)
+        cpus = available // threads
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config, cpus),
+                                     names))
         rows = [row for group in per_file for row in group]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])

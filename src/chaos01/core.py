@@ -415,12 +415,18 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     last ``n0`` points only, which round less than sums over all ``N``, and
     which hold the GIL for less time (see ``run_test``).
 
+    Each row is transformed in place: the path's running sum is written
+    straight into the first ``N`` entries of its spectrum row and the rest
+    zeroed, the forward FFT runs in place, so numpy copies no row into a
+    padded buffer, and the power and its even part are formed in that row.
+
     ``table``, ``spectrum`` and ``per_lag`` are flat complex scratch of at
     least ``rows * (L // 2 + 1)``, ``rows * L`` and ``3 * rows * n0``
-    entries; ``table`` may be the memory that holds ``steps``, and
-    ``per_lag`` holds the lag-length intermediates.  Each is allocated if not
-    given.  What they held does not matter, and the returned rows are new
-    memory, so the caller may reuse all three for the next rows."""
+    entries.  ``table`` may be the memory that holds ``steps``: once they
+    are summed, the real inverse FFT writes into it.  ``per_lag`` holds the
+    lag-length intermediates.  Each is allocated if not given.  What they
+    held does not matter, and the returned rows are new memory, so the
+    caller may reuse all three for the next rows."""
     rows, n_len = steps.shape
     half = size // 2
     if table is None:
@@ -429,7 +435,6 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
         spectrum = np.empty(rows * size, dtype=complex)
     if per_lag is None:
         per_lag = np.empty(3 * rows * n0, dtype=complex)
-    scratch = spectrum[:rows * size].view(float)
     shift = per_lag[:rows * n0].reshape(rows, n0)
     ends, ramp, out, dust = per_lag[rows * n0:3 * rows * n0].view(float).reshape(4, rows, n0)
     lags = np.arange(1, n0 + 1, dtype=float)
@@ -438,11 +443,13 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     # short lags as differences of sums growing like N^3.  The last two terms
     # of `out` put the drift back in closed form.
     drift = steps[:, 1:].mean(axis=1, keepdims=True)
-    y = steps
-    y -= drift
-    y[:, 0] = 0.0
-    np.cumsum(y, axis=1, out=y)
-    # The head and tail running sums, before the even part overwrites y:
+    steps -= drift
+    steps[:, 0] = 0.0
+    # The path goes straight into its spectrum row, zero-padded to L.
+    spec = spectrum[:rows * size].reshape(rows, size)
+    y = np.cumsum(steps, axis=1, out=spec[:, :n_len])
+    spec[:, n_len:] = 0.0
+    # The head and tail running sums, before the transform overwrites y:
     # `ends` holds sum_{j<n} (|y_j|^2 + |y_{N-1-j}|^2) until the spectrum
     # gives 2E, and `shift` sum_{j<n} (y_{N-1-j} - y_j).  `out` is scratch
     # until its turn.
@@ -454,17 +461,23 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     np.cumsum(ends, axis=1, out=ends)
     np.subtract(tail, head, out=shift)
     np.cumsum(shift, axis=1, out=shift)
-    transform = np.fft.fft(y, size, axis=1, out=spectrum[:rows * size].reshape(rows, size))
-    power = np.square(transform.real, out=transform.real)
-    power += np.square(transform.imag, out=transform.imag)
+    np.fft.fft(spec, axis=1, out=spec)
+    parts = spec.view(float)
+    np.square(parts, out=parts)
+    power = spec.real
+    power += spec.imag
     np.subtract(power.sum(axis=1, keepdims=True) * (2.0 / size), ends, out=ends)
-    # The even part is built where the steps were, as complex so that the
-    # inverse FFT need not cast a copy, and its output lands in the spectrum.
-    even = table[:rows * (half + 1)].reshape(rows, half + 1)
-    np.copyto(even, power[:, :half + 1])
-    even.real[:, 1:] += power[:, :size - half - 1:-1]
-    even.real[:, 0] *= 2.0
-    acf2 = np.fft.irfft(even, size, axis=1, out=scratch[:rows * size].reshape(rows, size))
+    # The even part is folded into each row's first L // 2 + 1 bins, as
+    # complex so that the inverse FFT need not cast a copy, and its output
+    # lands where the steps were.  Bin 0, and bin L / 2 when L is even, is
+    # its own mirror; the others add bins above L / 2, which the sum does not
+    # write, so numpy need not copy them to guard against the overlap.
+    even = spec[:, :half + 1]
+    even.real[:, 1:size - half] += power[:, :half:-1]
+    even.real[:, ::size - half] *= 2.0
+    even.imag = 0.0
+    acf2 = table.view(float)[:rows * size].reshape(rows, size)
+    np.fft.irfft(even, size, axis=1, out=acf2)
     acf2 = acf2[:, 1:n0 + 1]
     # out = ends - acf2 + 2 lags Re(conj(drift) shift) + ramp, in that order
     np.multiply((n_len - lags) * lags**2, drift.real**2 + drift.imag**2, out=ramp)
@@ -662,7 +675,12 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     AllDegenerateError
         If every frequency yields a degenerate growth rate (flat input).
     """
-    config = config or TestConfig()
+    return _run_test(series, config or TestConfig(), usable_cpus())
+
+
+def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
+    """``run_test`` on at most ``cpus`` threads, the calling one included:
+    ``batch`` gives each of its file threads its share of the CPUs."""
     n_len = len(series)
     n0 = lag_window(n_len, config.n0_fraction)
     if n0 >= n_len:
@@ -673,7 +691,7 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
     angles = _draw_frequencies(config)
     size = _fast_len(n_len + n0)
     rows = min(angles.size, max(1, _CHUNK_ELEMENTS // size))
-    workers = min(-(-angles.size // rows), usable_cpus(), _CHUNKS_IN_FLIGHT)
+    workers = min(-(-angles.size // rows), cpus, _CHUNKS_IN_FLIGHT)
     samples = _in_range(series.samples)
     mean = float(np.mean(samples))
 
@@ -687,9 +705,10 @@ def run_test(series: TimeSeries, config: TestConfig | None = None) -> TestResult
         return done
 
     # numpy's FFTs, ufuncs and sums release the GIL, so workers on threads
-    # share the CPUs; its running sums (cumsum along an axis, or in place)
-    # hold it in numpy 2.4, which is why `_msd_rows` makes only one of length
-    # N per row.  The caller computes the first slice and a pool thread each
+    # share the CPUs; its running sums along an axis hold it in numpy 2.4,
+    # which is why `_msd_rows` makes only one of length N per row.  At most
+    # `cpus` workers run, so that the threads of a whole batch stay within
+    # the CPUs.  The caller computes the first slice and a pool thread each
     # other one (none if there is none), in chunks of `rows` in one workspace
     # (the three buffers of `_msd_rows`), so rows reuse pages rather than
     # fault fresh ones in.  The caller allocates them all: pages a pool thread

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaos01 as c
+from chaos01 import cli, core
 from chaos01.cli import _read, main
 
 from conftest import source_tree_python
@@ -498,7 +499,7 @@ def test_batch_stride_without_valid_window_exits_2(runner, tmp_path, flags):
 
 def test_batch_unwritable_summary_exits_3_before_any_analysis(runner, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr("chaos01.cli.run_test", lambda *args: calls.append(args))
+    monkeypatch.setattr("chaos01.cli._run_test", lambda *args: calls.append(args))
     src = _generate(runner, tmp_path, "uniform_random", n=600)
     manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
     (tmp_path / "man.summary.csv").mkdir()  # a directory at the default summary path
@@ -525,7 +526,7 @@ def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch
         raise KeyboardInterrupt
 
     with monkeypatch.context() as patch:
-        patch.setattr("chaos01.cli.run_test", interrupt)
+        patch.setattr("chaos01.cli._run_test", interrupt)
         result = runner.invoke(main, ["batch", str(manifest)])
     assert result.exit_code == 1 and "Aborted!" in result.output
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
@@ -658,6 +659,43 @@ def test_batch_concurrency_is_deterministic(runner, tmp_path):
         assert result.exit_code == 0
         blobs.append((tmp_path / name).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+
+@pytest.mark.parametrize("cpus, inputs, extra", [
+    (2, 4, 0),  # two file threads, each file's test on its own thread
+    (2, 1, 1),  # one file thread, whose test keeps a second worker
+    (1, 4, 0),  # one file thread, and its test on it alone
+])
+def test_batch_keeps_file_and_kernel_threads_within_the_cpus(runner, tmp_path, monkeypatch,
+                                                             cpus, inputs, extra):
+    # 2000 samples and 100 angles are two chunks, enough for two workers
+    names = []
+    for seed in range(inputs):
+        out = tmp_path / f"n{seed}.csv"
+        runner.invoke(main, ["generate", "--kind", "uniform_random", "--n", "2000",
+                             "--seed", str(seed), "--out", str(out)])
+        names.append(out.name)
+    manifest = _write_manifest(tmp_path / "man.json", names)
+    files, kernels = set(), set()
+    batch_one, msd_rows = cli._batch_one, core._msd_rows
+
+    def on_file_thread(*args):
+        files.add(threading.current_thread().name)
+        return batch_one(*args)
+
+    def on_kernel_thread(*args):
+        kernels.add(threading.current_thread().name)
+        return msd_rows(*args)
+
+    monkeypatch.setattr(cli, "_batch_one", on_file_thread)
+    monkeypatch.setattr(core, "_msd_rows", on_kernel_thread)
+    for module in (cli, core):
+        monkeypatch.setattr(module, "usable_cpus", lambda: cpus)
+    result = runner.invoke(main, ["batch", str(manifest), "--jobs", "2"])
+    assert result.exit_code == 0, result.output
+    assert f"{inputs}/{inputs} rows analyzed" in result.output
+    assert len(kernels - files) == extra  # threads that run_test started
+    assert len(kernels | files) <= cpus
 
 
 @pytest.mark.parametrize("patch", [
