@@ -375,7 +375,8 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
     if n0 >= n_len:
         raise InvalidParameterError("n0 must satisfy 1 <= n0 < len(trajectory)")
     steps = np.diff([traj.p + 1j * traj.q], prepend=0.0)
-    return MsdCurve(c=traj.c, values=_msd_rows(steps, n0, _fast_len(n_len + n0))[0])
+    plan = _plan(n_len, n0, 1, 1)
+    return MsdCurve(c=traj.c, values=_msd_rows(steps, plan, *plan.workspaces())[0])
 
 
 #: Rows times FFT length per chunk of angles (one row at 100k samples).
@@ -393,9 +394,48 @@ def _fast_len(n: int) -> int:
     return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
-def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = None,
-              spectrum: np.ndarray | None = None,
-              per_lag: np.ndarray | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class _Plan:
+    """The MSD kernel's sizes for ``n_len`` samples: the lag window ``n0``,
+    the FFT length ``size``, the angles per chunk ``rows`` and the
+    ``workers``, each of which holds one set of the three workspaces of
+    ``_msd_rows``.  Only ``_plan`` builds one."""
+
+    n_len: int
+    n0: int
+    size: int
+    rows: int
+    workers: int
+
+    @property
+    def need(self) -> tuple[int, int, int]:
+        """Complex entries of one worker's ``table``, ``spectrum`` and
+        ``per_lag``.  The table first holds the steps (``_grid``'s layout),
+        then the inverse FFT's output."""
+        return (self.rows * max(math.prod(_grid(self.n_len)), self.size // 2 + 1),
+                self.rows * self.size, 3 * self.rows * self.n0)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of one worker's three workspaces."""
+        return 16 * sum(self.need)
+
+    def workspaces(self) -> list[np.ndarray]:
+        return [np.empty(count, dtype=complex) for count in self.need]
+
+
+def _plan(n_len: int, n0: int, angles: int, cpus: int) -> _Plan:
+    """The one sizing rule: a chunk holds as many rows as ``_CHUNK_ELEMENTS``
+    entries of the FFT length, and at least one, and at most ``cpus`` and
+    ``_CHUNKS_IN_FLIGHT`` workers share the chunks.  Both constants are read
+    here, at call time."""
+    size = _fast_len(n_len + n0)
+    rows = min(angles, max(1, _CHUNK_ELEMENTS // size))
+    return _Plan(n_len, n0, size, rows, min(-(-angles // rows), cpus, _CHUNKS_IN_FLIGHT))
+
+
+def _msd_rows(steps: np.ndarray, plan: _Plan, table: np.ndarray, spectrum: np.ndarray,
+              per_lag: np.ndarray) -> np.ndarray:
     """Mean square displacement ``M(1..n0)`` of the path ``z = p + iq`` whose
     steps are each row; ``steps`` is overwritten.  As ``|dz|^2 = dp^2 + dq^2``,
     the sum at lag ``n`` is ``ends = sum_{j>=n} |z_j|^2 + sum_{j<N-n} |z_j|^2``
@@ -420,21 +460,15 @@ def _msd_rows(steps: np.ndarray, n0: int, size: int, table: np.ndarray | None = 
     zeroed, the forward FFT runs in place, so numpy copies no row into a
     padded buffer, and the power and its even part are formed in that row.
 
-    ``table``, ``spectrum`` and ``per_lag`` are flat complex scratch of at
-    least ``rows * (L // 2 + 1)``, ``rows * L`` and ``3 * rows * n0``
-    entries.  ``table`` may be the memory that holds ``steps``: once they
-    are summed, the real inverse FFT writes into it.  ``per_lag`` holds the
-    lag-length intermediates.  Each is allocated if not given.  What they
-    held does not matter, and the returned rows are new memory, so the
-    caller may reuse all three for the next rows."""
+    ``n0`` and ``L`` come from ``plan``, and ``table``, ``spectrum`` and
+    ``per_lag`` are flat complex scratch of at least ``plan.need`` entries,
+    for at most ``plan.rows`` rows.  ``table`` may be the memory that holds
+    ``steps``: once they are summed, the real inverse FFT writes into it.
+    ``per_lag`` holds the lag-length intermediates.  What they held does not
+    matter, and the returned rows are new memory, so the caller may reuse
+    all three for the next rows."""
     rows, n_len = steps.shape
-    half = size // 2
-    if table is None:
-        table = np.empty(rows * (half + 1), dtype=complex)
-    if spectrum is None:
-        spectrum = np.empty(rows * size, dtype=complex)
-    if per_lag is None:
-        per_lag = np.empty(3 * rows * n0, dtype=complex)
+    n0, size, half = plan.n0, plan.size, plan.size // 2
     shift = per_lag[:rows * n0].reshape(rows, n0)
     ends, ramp, out, dust = per_lag[rows * n0:3 * rows * n0].view(float).reshape(4, rows, n0)
     lags = np.arange(1, n0 + 1, dtype=float)
@@ -689,16 +723,14 @@ def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
         )
 
     angles = _draw_frequencies(config)
-    size = _fast_len(n_len + n0)
-    rows = min(angles.size, max(1, _CHUNK_ELEMENTS // size))
-    workers = min(-(-angles.size // rows), cpus, _CHUNKS_IN_FLIGHT)
+    plan = _plan(n_len, n0, angles.size, cpus)
     samples = _in_range(series.samples)
     mean = float(np.mean(samples))
 
     def worker(share: np.ndarray, space: list[np.ndarray]) -> list[GrowthRate]:
         done = []
-        for chunk in np.split(share, range(rows, share.size, rows)):
-            values = _msd_rows(_steps(samples, chunk, space[0]), n0, size, *space)
+        for chunk in np.split(share, range(plan.rows, share.size, plan.rows)):
+            values = _msd_rows(_steps(samples, chunk, space[0]), plan, *space)
             if config.msd_variant is MsdVariant.CORRECTED:
                 values -= oscillation_correction(chunk, n0, mean)
             done += _growth_rates(values, chunk, config.method)
@@ -706,20 +738,19 @@ def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
 
     # numpy's FFTs, ufuncs and sums release the GIL, so workers on threads
     # share the CPUs; its running sums along an axis hold it in numpy 2.4,
-    # which is why `_msd_rows` makes only one of length N per row.  At most
-    # `cpus` workers run, so that the threads of a whole batch stay within
-    # the CPUs.  The caller computes the first slice and a pool thread each
-    # other one (none if there is none), in chunks of `rows` in one workspace
-    # (the three buffers of `_msd_rows`), so rows reuse pages rather than
-    # fault fresh ones in.  The caller allocates them all: pages a pool thread
+    # which is why `_msd_rows` makes only one of length N per row.  The plan
+    # runs at most `cpus` workers, so that the threads of a whole batch stay
+    # within the CPUs.  The caller computes the first slice and a pool thread
+    # each other one (none if there is none), in chunks of `plan.rows` in one
+    # set of the plan's workspaces, so rows reuse pages rather than fault
+    # fresh ones in.  The caller allocates them all: pages a pool thread
     # frees stay in its malloc arena, and a later call's thread that finds it
     # still taken builds another.
     # The pool lives for one call: a module-level one would not survive fork.
-    need = (rows * max(math.prod(_grid(n_len)), size // 2 + 1), rows * size, 3 * rows * n0)
     _keep_freed_blocks()
-    spaces = [[np.empty(count, dtype=complex) for count in need] for _ in range(workers)]
-    first, *rest = np.array_split(angles, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    spaces = [plan.workspaces() for _ in range(plan.workers)]
+    first, *rest = np.array_split(angles, plan.workers)
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
         others = pool.map(worker, rest, spaces[1:])
         rates = worker(first, spaces[0]) + [rate for done in others for rate in done]
 

@@ -1,6 +1,7 @@
 """Unit tests for translation variables, displacement curves, growth rates,
 aggregation, classification, and the run_test driver."""
 
+import dataclasses
 import json
 import math
 import platform
@@ -9,6 +10,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,10 +254,11 @@ def test_msd_kernel_matches_direct_evaluation_on_short_windows():
 def test_msd_kernel_matches_direct_evaluation_at_odd_and_even_fft_lengths(n_len, n0, size):
     # The real inverse FFT pairs bin k with bin (L - k) % L; odd and even L
     # index the middle of the spectrum differently.
-    assert core._fast_len(n_len + n0) == size
     angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5, 5.9])  # the second is resonant
+    plan = core._plan(n_len, n0, angles.size, 1)
+    assert (plan.size, plan.rows) == (size, angles.size)
     for series in (c.gen_sawtooth(100.0, 5000.0, n_len), c.gen_quasiperiodic(5000.0, n_len)):
-        got = core._msd_rows(core._steps(series.samples, angles), n0, size)
+        got = core._msd_rows(core._steps(series.samples, angles), plan, *plan.workspaces())
         for row, angle in zip(got, angles):
             traj = c.translation_variables(series, angle)
             want = oracles.msd(traj.p, traj.q, range(1, n0 + 1))
@@ -268,14 +271,13 @@ def test_msd_kernel_rows_do_not_depend_on_what_its_buffers_held(n_len, n0, size)
     series = c.gen_quasiperiodic(5000.0, n_len)
     other = c.gen_sawtooth(100.0, 5000.0, n_len)
     angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5])
-    fresh = core._msd_rows(core._steps(series.samples, angles), n0, size)
-    table = np.full(3 * max(math.prod(core._grid(n_len)), size // 2 + 1), np.nan, dtype=complex)
-    spectrum = np.full(3 * size, np.nan, dtype=complex)
-    per_lag = np.full(3 * 3 * n0, np.nan, dtype=complex)
+    plan = core._plan(n_len, n0, angles.size, 1)
+    assert (plan.size, plan.rows) == (size, angles.size)
+    fresh = core._msd_rows(core._steps(series.samples, angles), plan, *plan.workspaces())
+    table, spectrum, per_lag = (np.full(count, np.nan, dtype=complex) for count in plan.need)
 
     def rows(samples, chunk):
-        return core._msd_rows(core._steps(samples, chunk, table), n0, size, table, spectrum,
-                              per_lag)
+        return core._msd_rows(core._steps(samples, chunk, table), plan, table, spectrum, per_lag)
 
     first = rows(series.samples, angles)  # buffers full of NaN
     assert np.array_equal(first, fresh)
@@ -283,6 +285,49 @@ def test_msd_kernel_rows_do_not_depend_on_what_its_buffers_held(n_len, n0, size)
     assert np.array_equal(rows(series.samples, angles), fresh)  # another chunk's data
     assert np.array_equal(rows(series.samples, angles[1:]), fresh[1:])  # a short last chunk
     assert np.array_equal(first, fresh)  # the rows it returned are its own memory
+
+
+def _inline_sizes(n_len, angles, cpus):
+    """The kernel's sizes as ``run_test`` computed them inline before the plan
+    owned them: the oracle for ``core._plan``."""
+    n0 = c.lag_window(n_len, c.DEFAULT_N0_FRACTION)
+    size = core._fast_len(n_len + n0)
+    rows = min(angles, max(1, core._CHUNK_ELEMENTS // size))
+    workers = min(-(-angles // rows), cpus, core._CHUNKS_IN_FLIGHT)
+    need = (rows * max(math.prod(core._grid(n_len)), size // 2 + 1), rows * size, 3 * rows * n0)
+    return (n_len, n0, size, rows, workers), need
+
+
+@pytest.mark.parametrize("n_len, angles, cpus, known", [
+    (800, 100, 1, None),
+    (2000, 100, 1, None),
+    (2000, 100, 2, ((2000, 560, 2560, 51, 2), (103275, 130560, 85680))),
+    (100_000, 100, 2, ((100_000, 28000, 128000, 1, 2), (100172, 128000, 84000))),
+    (10**6, 100, 1, ((10**6, 280000, 1280000, 1, 1), (1001000, 1280000, 840000))),
+    (10**6, 100, 2, ((10**6, 280000, 1280000, 1, 2), (1001000, 1280000, 840000))),
+])
+def test_plan_matches_the_inline_sizing_rules(monkeypatch, n_len, angles, cpus, known):
+    def plan_and_oracle():
+        sizes, need = _inline_sizes(n_len, angles, cpus)
+        plan = core._plan(n_len, sizes[1], angles, cpus)
+        assert (dataclasses.astuple(plan), plan.need) == (sizes, need)
+        assert plan.nbytes == 16 * sum(need)
+        return sizes, need
+
+    if known is not None:
+        assert plan_and_oracle() == known
+    # the builder reads the chunk budget and the cap when it is called
+    for budget, cap in ((1, 2), (1 << 30, 3), (1 << 15, 1)):
+        monkeypatch.setattr(core, "_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(core, "_CHUNKS_IN_FLIGHT", cap)
+        plan_and_oracle()
+
+
+def test_plan_workspaces_are_its_need_in_complex_entries():
+    plan = core._plan(2000, 560, 100, 2)
+    assert [(w.dtype, w.size) for w in plan.workspaces()] == [(np.complex128, n) for n in plan.need]
+    assert plan.nbytes == sum(w.nbytes for w in plan.workspaces())
+    assert round(core._plan(10**6, 280000, 100, 1).nbytes / 2**20, 1) == 47.6
 
 
 def test_msd_kernel_keeps_short_lags_at_a_million_samples():
@@ -740,9 +785,9 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
     threads = set()
     msd_rows = core._msd_rows
 
-    def spy(steps, n0, size, table, spectrum, per_lag):
+    def spy(steps, plan, table, spectrum, per_lag):
         threads.add(threading.get_ident())
-        return msd_rows(steps, n0, size, table, spectrum, per_lag)
+        return msd_rows(steps, plan, table, spectrum, per_lag)
 
     monkeypatch.setattr(core, "_msd_rows", spy)
     # let the CPU count, not the chunks-in-flight cap, set the workers
@@ -933,9 +978,10 @@ def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
     series = c.gen_quasiperiodic(5000.0, 100_000)
     n0 = c.lag_window(len(series), c.DEFAULT_N0_FRACTION)
     steps = core._steps(series.samples, np.array([0.7]))
+    plan = core._plan(len(series), n0, 1, 1)
     tracemalloc.start()
     try:
-        core._msd_rows(steps, n0, core._fast_len(len(series) + n0))
+        core._msd_rows(steps, plan, *plan.workspaces())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -954,6 +1000,35 @@ def test_run_test_memory_stays_near_one_row(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM in /proc")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_test_memory_at_a_million_samples_stays_within_its_plan(workers):
+    # VmHWM less the VmRSS just before the call, in a fresh process.  Each
+    # worker holds the plan's three workspaces plus the scratch of numpy's
+    # in-place forward FFT, measured at two rows of L complex values (42.4 MiB
+    # in isolation at L = 1,280,000, of which 3.6 MiB stayed), and numpy's
+    # cached FFT plans are kept once per process, at most one row (3.6 MiB
+    # forward and 10.3 MiB inverse).  One chunk is one row at this length, so
+    # 20 angles reach the peak of 100.
+    code = ("import sys\n"
+            "import chaos01 as c\n"
+            "from chaos01 import core\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) for l in f if l.startswith(key + ':'))\n"
+            "core.usable_cpus = lambda: int(sys.argv[1])\n"
+            "series = c.gen_quasiperiodic(5000.0, 10**6)\n"
+            "before = status('VmRSS')\n"
+            "c.run_test(series, c.TestConfig(num_c=20, seed=1))\n"
+            "print(1024 * (status('VmHWM') - before))")
+    proc = source_tree_python(["-c", code, str(workers)])
+    assert proc.returncode == 0, proc.stderr
+    plan = core._plan(10**6, c.lag_window(10**6, c.DEFAULT_N0_FRACTION), 20, workers)
+    assert (plan.size, plan.rows, plan.workers) == (1_280_000, 1, workers)
+    bound = plan.workers * (plan.nbytes + 2 * 16 * plan.size) + 16 * plan.size
+    assert int(proc.stdout) < bound
 
 
 @_GLIBC_ONLY
