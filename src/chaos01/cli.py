@@ -18,7 +18,6 @@ import json
 import os
 import shutil
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -27,7 +26,9 @@ import click
 # spins for about 0.1 s of CPU; nothing here calls BLAS.  A value the user
 # set is kept; an empty one counts as unset, as OpenBLAS reads it.  This
 # must run before the imports below load numpy, which is why the package
-# imports its submodules only on first use.
+# imports its submodules only on first use.  Every request pays for what
+# this module imports, so ``signals`` (``generate``) and ``spectral``
+# (``psd``) load only in the command that runs them.
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -38,6 +39,7 @@ from .core import (
     TestConfig,
     _check_angle,
     _check_name,
+    _on_threads,
     _run_test,
     run_test,
     translation_variables,
@@ -56,8 +58,6 @@ from .seriesio import (
     segment,
     write_series,
 )
-from .signals import _DEFAULT_RATE, GeneratorKind, GeneratorSpec, _describe, make_series
-from .spectral import psd as compute_psd
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -68,7 +68,16 @@ _TRIMMED = "trimmed"  # the one name the CLI adds: an alias of Aggregator.TRIMME
 
 
 class _Main(click.Group):
-    """Ends any command that raises a package error with one ``error:`` line."""
+    """Ends any command that raises a package error with one ``error:`` line,
+    and builds ``generate`` when it is first looked up."""
+
+    def list_commands(self, ctx):
+        return sorted({*self.commands, "generate"})
+
+    def get_command(self, ctx, name):
+        if name == "generate" and name not in self.commands:
+            self.add_command(_generate())
+        return super().get_command(ctx, name)
 
     def invoke(self, ctx):
         try:
@@ -151,25 +160,34 @@ def main():
     """Detect chaos in scalar time series with a 0-1 style growth-rate test."""
 
 
-@main.command()
-@click.option("--kind", required=True, type=click.Choice([k.value for k in GeneratorKind]),
-              help="Which reference signal to produce.")
-@click.option("--f", "freq", type=float, default=GeneratorSpec.freq, show_default=True,
-              help="Tone frequency in Hz (sine and sawtooth).")
-@click.option("--fs", "sample_rate", type=float, default=None,
-              help=f"Sample rate in Hz [default: {_DEFAULT_RATE:g} for time-based kinds].")
-@click.option("--n", "num_samples", type=int, default=GeneratorSpec.num_samples,
-              show_default=True, help="Number of samples.")
-@click.option("--seed", type=int, default=GeneratorSpec.seed, show_default=True,
-              help="Seed for uniform_random.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False),
-              help="Output path (single_column format).")
-def generate(out, **fields):
-    """Write one reference signal to a file."""
-    spec = GeneratorSpec(**fields)
-    series = make_series(spec)
-    write_series(series, out)
-    click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} {_describe(spec)}")
+def _generate() -> click.Command:
+    """The ``generate`` command, whose choices and defaults come from ``signals``."""
+    from . import signals
+
+    @click.command()
+    @click.option("--kind", required=True,
+                  type=click.Choice([k.value for k in signals.GeneratorKind]),
+                  help="Which reference signal to produce.")
+    @click.option("--f", "freq", type=float, default=signals.GeneratorSpec.freq,
+                  show_default=True, help="Tone frequency in Hz (sine and sawtooth).")
+    @click.option("--fs", "sample_rate", type=float, default=None,
+                  help=f"Sample rate in Hz [default: {signals._DEFAULT_RATE:g} "
+                       "for time-based kinds].")
+    @click.option("--n", "num_samples", type=int, default=signals.GeneratorSpec.num_samples,
+                  show_default=True, help="Number of samples.")
+    @click.option("--seed", type=int, default=signals.GeneratorSpec.seed, show_default=True,
+                  help="Seed for uniform_random.")
+    @click.option("--out", required=True, type=click.Path(dir_okay=False),
+                  help="Output path (single_column format).")
+    def generate(out, **fields):
+        """Write one reference signal to a file."""
+        spec = signals.GeneratorSpec(**fields)
+        series = signals.make_series(spec)
+        write_series(series, out)
+        click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} "
+                   f"{signals._describe(spec)}")
+
+    return generate
 
 
 @main.command()
@@ -225,10 +243,12 @@ def analyze(input, fmt, out, scatter, trajectory, trajectory_c, **options):
               help="Spectrum CSV path [default: INPUT stem + .psd.csv].")
 def psd_command(input, fmt, out):
     """Write the normalized power spectrum of a series."""
+    from .spectral import psd
+
     target = out or f"{Path(input).with_suffix('')}.psd.csv"
     _check_targets([input], [target])
     series = load_series(SeriesFile(path=input, format=fmt))
-    estimate = compute_psd(series)
+    estimate = psd(series)
     export_psd(estimate, target)
     click.echo(f"wrote {target}: {estimate.frequencies.size} bins")
 
@@ -318,9 +338,8 @@ def batch(manifest, out, window, stride, jobs):
         available = usable_cpus()
         threads = min(jobs, len(names), available)
         cpus = available // threads
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_file = list(pool.map(lambda name: _batch_one(base / name, fmt, plan, config, cpus),
-                                     names))
+        per_file = _on_threads(lambda name: _batch_one(base / name, fmt, plan, config, cpus),
+                               names, threads)
         rows = [row for group in per_file for row in group]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])

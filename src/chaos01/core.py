@@ -13,10 +13,11 @@ over many random frequencies.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -643,6 +644,40 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _on_threads(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]`` on at most ``threads`` threads, the
+    calling one included, so one thread starts none.  Thread k starts on item
+    k, then, until an item has raised, takes the next item no thread has
+    taken.  Every thread started has ended before this returns or raises, and
+    then it raises the first exception in item order: every item before the
+    one that raised was taken, and so ran to its end."""
+    items = list(items)
+    results, errors = [None] * len(items), {}
+    taken = itertools.count(max(threads, 1))
+
+    def work(index: int) -> None:
+        while index < len(items):
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # raised on the calling thread below
+                errors[index] = exc
+            index = len(items) if errors else next(taken)
+
+    started = []
+    try:
+        for index in range(1, min(threads, len(items))):
+            thread = threading.Thread(target=work, args=(index,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _in_range(samples: np.ndarray) -> np.ndarray:
     """``samples`` as they are when their largest magnitude lies inside
     ``_UNSCALED`` (or is 0), else scaled by the power of two that brings it
@@ -727,7 +762,8 @@ def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
     samples = _in_range(series.samples)
     mean = float(np.mean(samples))
 
-    def worker(share: np.ndarray, space: list[np.ndarray]) -> list[GrowthRate]:
+    def worker(job: tuple[np.ndarray, list[np.ndarray]]) -> list[GrowthRate]:
+        share, space = job
         done = []
         for chunk in np.split(share, range(plan.rows, share.size, plan.rows)):
             values = _msd_rows(_steps(samples, chunk, space[0]), plan, *space)
@@ -740,19 +776,18 @@ def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
     # share the CPUs; its running sums along an axis hold it in numpy 2.4,
     # which is why `_msd_rows` makes only one of length N per row.  The plan
     # runs at most `cpus` workers, so that the threads of a whole batch stay
-    # within the CPUs.  The caller computes the first slice and a pool thread
-    # each other one (none if there is none), in chunks of `plan.rows` in one
-    # set of the plan's workspaces, so rows reuse pages rather than fault
-    # fresh ones in.  The caller allocates them all: pages a pool thread
-    # frees stay in its malloc arena, and a later call's thread that finds it
-    # still taken builds another.
-    # The pool lives for one call: a module-level one would not survive fork.
+    # within the CPUs.  The caller computes the first slice and a thread of
+    # its own each other one (none if there is none), in chunks of
+    # `plan.rows` in one set of the plan's workspaces, so rows reuse pages
+    # rather than fault fresh ones in.  The caller allocates them all: pages
+    # a started thread frees stay in its malloc arena, and a later call's
+    # thread that finds it still taken builds another.
+    # The threads live for one call: module-level ones would not survive fork.
     _keep_freed_blocks()
     spaces = [plan.workspaces() for _ in range(plan.workers)]
-    first, *rest = np.array_split(angles, plan.workers)
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        others = pool.map(worker, rest, spaces[1:])
-        rates = worker(first, spaces[0]) + [rate for done in others for rate in done]
+    shares = np.array_split(angles, plan.workers)
+    rates = [rate for done in _on_threads(worker, zip(shares, spaces), plan.workers)
+             for rate in done]
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

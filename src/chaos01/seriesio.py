@@ -40,11 +40,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from ._decimal import csv_rows
 from .core import (TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count,
                    _check_name, _check_rate)
 from .errors import (
@@ -53,7 +53,9 @@ from .errors import (
     SeriesFormatError,
     SeriesTooShortError,
 )
-from .spectral import PsdEstimate
+
+if TYPE_CHECKING:
+    from .spectral import PsdEstimate
 
 #: Allowed relative deviation between timestamp gaps in time_value_csv files.
 SPACING_RTOL = 1e-6
@@ -329,6 +331,8 @@ def _write_table(path: str | Path, header: str | None, *columns) -> None:
     ``_WRITE_ROWS`` at a time through the text handle, which bounds the memory
     held at once and keeps the platform's line ends.
     """
+    from ._decimal import csv_rows  # here, because batch writes with csv alone
+
     columns = [np.asarray(column) for column in columns]
     with open(path, "w") as handle:
         if header is not None:

@@ -694,8 +694,24 @@ def test_batch_keeps_file_and_kernel_threads_within_the_cpus(runner, tmp_path, m
     result = runner.invoke(main, ["batch", str(manifest), "--jobs", "2"])
     assert result.exit_code == 0, result.output
     assert f"{inputs}/{inputs} rows analyzed" in result.output
+    assert len(files) == min(cpus, inputs)  # the calling thread is one of them
     assert len(kernels - files) == extra  # threads that run_test started
     assert len(kernels | files) <= cpus
+
+
+def test_batch_with_one_job_on_one_cpu_starts_no_thread(runner, tmp_path, monkeypatch):
+    names = [_generate(runner, tmp_path, kind, n=2000).name for kind in ("sine", "henon")]
+    manifest = _write_manifest(tmp_path / "man.json", names)
+
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for module in (cli, core):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 1)
+    result = runner.invoke(main, ["batch", str(manifest), "--jobs", "1"])
+    assert result.exit_code == 0, result.output
+    assert "2/2 rows analyzed" in result.output
 
 
 @pytest.mark.parametrize("patch", [
@@ -974,7 +990,7 @@ def test_memory_error_exits_2_with_one_line(runner, tmp_path, monkeypatch):
     # a size below the count ceiling that still cannot be allocated
     def fail(spec):
         raise MemoryError("Unable to allocate 64. PiB for an array")
-    monkeypatch.setattr("chaos01.cli.make_series", fail)
+    monkeypatch.setattr("chaos01.signals.make_series", fail)
     out = tmp_path / "x.csv"
     result = runner.invoke(main, ["generate", "--kind", "sine", "--n", str(2**53 - 1),
                                   "--out", str(out)])
@@ -1045,6 +1061,40 @@ def test_cli_import_does_not_load_scipy():
     proc = source_tree_python(["-c", "import sys, chaos01.cli; print('scipy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_UNUSED_BY_BATCH = ("chaos01.signals", "chaos01.spectral", "chaos01._decimal",
+                    "concurrent.futures", "logging")
+
+
+@pytest.mark.parametrize("args, unused", [
+    (["batch", "{tmp}/man.json", "--jobs", "2"], _UNUSED_BY_BATCH),
+    (["analyze", "{tmp}/s.txt"], ("chaos01.signals", "chaos01.spectral", "concurrent.futures")),
+    (["psd", "{tmp}/s.txt"], ("chaos01.signals", "concurrent.futures")),
+    (["generate", "--kind", "sine", "--n", "1200", "--out", "{tmp}/g.txt"], ()),
+    (["--help"], ()),
+], ids=["batch", "analyze", "psd", "generate", "help"])
+def test_each_command_loads_only_what_it_runs(tmp_path, args, unused):
+    # every request is a fresh process that pays for each module it imports
+    c.write_series(c.gen_sine(100.0, 5000.0, 3000), tmp_path / "s.txt")
+    _write_manifest(tmp_path / "man.json", ["s.txt", "s.txt"],
+                    window={"window_len": 800, "stride": 1100})
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    code = (f"import sys; sys.argv = ['chaos01', *{args!r}]\n"
+            "from chaos01.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as exc:\n"
+            f"    print(exc.code, sorted(set({unused!r}) & set(sys.modules)))")
+    proc = source_tree_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    *output, loaded = proc.stdout.splitlines()
+    assert loaded == "0 []", output
+    if args[0] == "generate":
+        assert c.load_series(tmp_path / "g.txt").samples.size == 1200
+    if args[0] == "--help":
+        listed = output[output.index("Commands:") + 1:]
+        assert [line.split()[0] for line in listed] == ["analyze", "batch", "generate", "psd"]
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():

@@ -7,6 +7,7 @@ import math
 import platform
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -815,8 +816,67 @@ def test_run_test_leaves_no_thread_behind(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
+def _refuse_to_start(thread):
+    raise AssertionError(f"{thread.name} was started")
+
+
+def test_run_test_on_one_usable_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", _refuse_to_start)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
+    assert len(c.run_test(c.gen_henon(), c.TestConfig(num_c=50)).per_c) == 50
+
+
+def test_on_threads_returns_results_in_item_order():
+    # later items end first; thread k starts on item k, the calling thread on 0
+    ran_on = {}
+
+    def square(item):
+        time.sleep((8 - item) / 1000)
+        ran_on[item] = threading.current_thread()
+        return item * item
+
+    assert core._on_threads(square, range(8), 3) == [item * item for item in range(8)]
+    assert ran_on[0] is threading.current_thread()
+    assert len({ran_on[k] for k in range(3)}) == len(set(ran_on.values())) == 3
+    assert core._on_threads(square, [], 3) == []
+
+
+def test_on_threads_runs_each_item_once_under_contention():
+    # more threads than CPUs, switching as often as the interpreter allows
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = core._on_threads(lambda item: calls.append(item) or -item, range(3000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-item for item in range(3000)]
+    assert sorted(calls) == list(range(3000))
+
+
+def test_on_threads_raises_the_first_error_in_item_order_once_every_thread_has_ended():
+    before = set(threading.enumerate())
+    seen, ended = set(), []
+
+    def work(item):
+        seen.add(threading.current_thread())
+        if item == 1:
+            time.sleep(0.05)  # item 2 raises first
+            raise ValueError("item 1")
+        if item == 2:
+            raise KeyError("item 2")
+        time.sleep(0.2)
+        ended.append(item)
+
+    with pytest.raises(ValueError, match="item 1"):
+        core._on_threads(work, range(6), 3)
+    assert not any(thread.is_alive() for thread in seen - {threading.current_thread()})
+    assert set(threading.enumerate()) <= before
+    assert ended == [0]  # no thread takes an item once one has raised
+
+
 def test_run_test_inside_a_worker_thread_matches_the_calling_thread(monkeypatch):
-    # batch calls run_test from its own pool's threads
+    # batch calls run_test from the threads it starts
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     series = c.gen_henon()
     config = c.TestConfig(num_c=50, seed=9, method="regression")
