@@ -762,32 +762,34 @@ def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
     samples = _in_range(series.samples)
     mean = float(np.mean(samples))
 
-    def worker(job: tuple[np.ndarray, list[np.ndarray]]) -> list[GrowthRate]:
-        share, space = job
-        done = []
-        for chunk in np.split(share, range(plan.rows, share.size, plan.rows)):
-            values = _msd_rows(_steps(samples, chunk, space[0]), plan, *space)
-            if config.msd_variant is MsdVariant.CORRECTED:
-                values -= oscillation_correction(chunk, n0, mean)
-            done += _growth_rates(values, chunk, config.method)
-        return done
+    def worker(chunk: np.ndarray) -> list[GrowthRate]:
+        space = spaces.pop()
+        values = _msd_rows(_steps(samples, chunk, space[0]), plan, *space)
+        spaces.append(space)  # the rows are new memory
+        if config.msd_variant is MsdVariant.CORRECTED:
+            values -= oscillation_correction(chunk, n0, mean)
+        return _growth_rates(values, chunk, config.method)
 
     # numpy's FFTs, ufuncs and sums release the GIL, so workers on threads
     # share the CPUs; its running sums along an axis hold it in numpy 2.4,
-    # which is why `_msd_rows` makes only one of length N per row.  The plan
-    # runs at most `cpus` workers, so that the threads of a whole batch stay
-    # within the CPUs.  The caller computes the first slice and a thread of
-    # its own each other one (none if there is none), in chunks of
-    # `plan.rows` in one set of the plan's workspaces, so rows reuse pages
-    # rather than fault fresh ones in.  The caller allocates them all: pages
-    # a started thread frees stay in its malloc arena, and a later call's
-    # thread that finds it still taken builds another.
+    # which is why `_msd_rows` makes only one of length N per row.  The
+    # angles are cut once, into chunks of `plan.rows`, which N, n0 and the
+    # angle count alone set, so the rows that share an FFT call, and with
+    # them K, do not depend on the CPU count.  The plan runs at most `cpus`
+    # workers, so that the threads of a whole batch stay within the CPUs:
+    # the caller and a thread of its own for each other worker (none if
+    # there is none) take the chunks in turn.  For a chunk's steps and MSD a
+    # worker takes a free set of the plan's workspaces and then puts it back,
+    # so rows reuse pages rather than fault fresh ones in; there is a set per
+    # worker, and `list.pop` and `append` are atomic, so no set is in two
+    # calls at once.  The caller allocates them all: pages a started thread
+    # frees stay in its malloc arena, and a later call's thread that finds
+    # it still taken builds another.
     # The threads live for one call: module-level ones would not survive fork.
     _keep_freed_blocks()
     spaces = [plan.workspaces() for _ in range(plan.workers)]
-    shares = np.array_split(angles, plan.workers)
-    rates = [rate for done in _on_threads(worker, zip(shares, spaces), plan.workers)
-             for rate in done]
+    chunks = np.split(angles, range(plan.rows, angles.size, plan.rows))
+    rates = [rate for done in _on_threads(worker, chunks, plan.workers) for rate in done]
 
     k_m = aggregate_k(rates, config.aggregator, config.trim_fraction)
     return TestResult(

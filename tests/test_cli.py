@@ -661,6 +661,40 @@ def test_batch_concurrency_is_deterministic(runner, tmp_path):
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
+def test_batch_windows_give_the_same_summary_at_any_job_count(runner, tmp_path, monkeypatch):
+    # perfbench's window_screen shape: three files, each cut into three
+    # 2000-sample windows of 100 angles, which are two kernel chunks
+    names = []
+    for seed in range(3):
+        out = tmp_path / f"n{seed}.csv"
+        runner.invoke(main, ["generate", "--kind", "uniform_random", "--n", "3000",
+                             "--seed", str(seed), "--out", str(out)])
+        names.append(out.name)
+    manifest = _write_manifest(tmp_path / "man.json", names,
+                               window={"window_len": 2000, "stride": 500})
+    rows, msd_rows = [], core._msd_rows
+
+    def spy(steps, *args):
+        rows.append(len(steps))
+        return msd_rows(steps, *args)
+
+    monkeypatch.setattr(core, "_msd_rows", spy)
+    for module in (cli, core):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    blobs = []
+    for jobs in (1, 2, 3):
+        rows.clear()
+        out = tmp_path / f"s{jobs}.csv"
+        result = runner.invoke(main, ["batch", str(manifest), "--jobs", str(jobs),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "9/9 rows analyzed" in result.output
+        # 51 + 49 rows, on two kernel workers at --jobs 1 and on one above it
+        assert sorted(rows) == [49] * 9 + [51] * 9, jobs
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 @pytest.mark.parametrize("cpus, inputs, extra", [
     (2, 4, 0),  # two file threads, each file's test on its own thread
     (2, 1, 1),  # one file thread, whose test keeps a second worker

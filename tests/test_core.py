@@ -809,6 +809,54 @@ def test_run_test_is_identical_for_any_worker_count(monkeypatch, method):
         assert result.k_m == first.k_m
 
 
+def test_run_test_cuts_the_same_chunks_on_any_cpu_count_and_lends_each_workspace_once(
+        monkeypatch):
+    series = c.gen_henon()
+    config = c.TestConfig(num_c=50)
+    drawn = list(core._draw_frequencies(config))
+    chunks = []
+    steps = core._steps
+
+    def chunk_spy(samples, angles, table):
+        chunks.append((drawn.index(angles[0]), len(angles)))
+        return steps(samples, angles, table)
+
+    monkeypatch.setattr(core, "_steps", chunk_spy)
+    monkeypatch.setattr(core, "_CHUNKS_IN_FLIGHT", 3)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        chunks.clear()
+        c.run_test(series, config)
+        # N = 5000 packs 20 rows per chunk, whatever the CPU count
+        assert sorted(chunks) == [(0, 20), (20, 20), (40, 10)], cpus
+
+    # one row per chunk: each worker lends its workspace to one MSD at a time
+    inside, lock, peak = set(), threading.Lock(), [0]
+    msd_rows = core._msd_rows
+
+    def lend_spy(steps, plan, table, spectrum, per_lag):
+        with lock:
+            assert id(table) not in inside
+            inside.add(id(table))
+            peak[0] = max(peak[0], len(inside))
+        time.sleep(0.002)  # let the other workers reach the kernel meanwhile
+        try:
+            return msd_rows(steps, plan, table, spectrum, per_lag)
+        finally:
+            with lock:
+                inside.discard(id(table))
+
+    monkeypatch.setattr(core, "_msd_rows", lend_spy)
+    monkeypatch.setattr(core, "_CHUNK_ELEMENTS", 1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        chunks.clear()
+        peak[0] = 0
+        c.run_test(series, config)
+        assert sorted(chunks) == [(k, 1) for k in range(50)]
+        assert peak[0] == cpus
+
+
 def test_run_test_leaves_no_thread_behind(monkeypatch):
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     before = set(threading.enumerate())
@@ -1008,8 +1056,9 @@ _GLIBC_ONLY = pytest.mark.skipif(
 
 @_GLIBC_ONLY
 def test_a_warm_run_test_faults_in_almost_no_pages():
-    # at 2000 samples one chunk is a worker's whole slice: memory handed back
-    # to the OS after each call costs about 350 faults on the next
+    # 2000 samples and 100 angles are two chunks, one for each of two workers:
+    # memory handed back to the OS after each call costs about 350 faults on
+    # the next
     faults = _faults_in_a_fresh_process(
         "import chaos01 as c\n"
         "series = c.gen_quasiperiodic(5000.0, 2000)\n"

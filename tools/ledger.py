@@ -244,6 +244,11 @@ CASES: dict[str, list[list[str]]] = {
                                "window": {"window_len": 1000, "stride": 1000}}),
         ["cli", "batch", "win.json", "--jobs", "1", "--out", "win1.csv"],
         ["cli", "batch", "win.json", "--jobs", "2", "--out", "win2.csv"],
+        # 2000-sample windows of the default 100 angles: two kernel chunks each
+        _manifest("screen.json", {"inputs": ["sine.csv", "henon.csv", "half.csv"],
+                                  "window": {"window_len": 2000, "stride": 500}}),
+        ["cli", "batch", "screen.json", "--jobs", "1", "--out", "screen1.csv"],
+        ["cli", "batch", "screen.json", "--jobs", "3", "--out", "screen3.csv"],
         _manifest("plain.json", {"inputs": ["sine.csv", "henon.csv"], "config": {"num_c": 20}}),
         ["cli", "batch", "plain.json"],
         ["cli", "batch", "plain.json", "--window", "1000", "--out", "plain.win.csv"],
