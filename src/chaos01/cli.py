@@ -68,8 +68,8 @@ _TRIMMED = "trimmed"  # the one name the CLI adds: an alias of Aggregator.TRIMME
 
 
 class _Main(click.Group):
-    """Ends any command that raises a package error with one ``error:`` line,
-    and builds ``generate`` when it is first looked up."""
+    """Ends any command that raises a package or usage error with one
+    ``error:`` line, and builds ``generate`` when it is first looked up."""
 
     def list_commands(self, ctx):
         return sorted({*self.commands, "generate"})
@@ -82,6 +82,8 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:  # a bad flag, value or argument of a command
+            error, code = exc.format_message(), EXIT_USAGE
         except (InvalidParameterError, DivergenceError, MemoryError) as exc:
             error, code = exc, EXIT_USAGE
         except Chaos01Error as exc:  # the file's content cannot be analyzed
@@ -101,17 +103,23 @@ def _read(cls, mapping, what: str):
         return Aggregator.TRIMMED_MEAN
     if not dataclasses.is_dataclass(cls):
         return mapping
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    _check_keys(mapping, [f.name for f in fields], required, what)
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _read(hints[key], item, f"{what}.{key}") for key, item in mapping.items()})
+
+
+def _check_keys(mapping, names, required, what: str) -> None:
+    """Raise InvalidParameterError unless ``mapping`` is a JSON object whose
+    keys are all in ``names`` and include every key in ``required``."""
     if not isinstance(mapping, dict):
         raise InvalidParameterError(f"{what} must be a JSON object, got {mapping!r}")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(mapping.keys() - {f.name for f in fields})
-    missing = [f.name for f in fields
-               if f.default is f.default_factory is dataclasses.MISSING and f.name not in mapping]
+    unknown = sorted(mapping.keys() - set(names))
+    missing = [name for name in required if name not in mapping]
     for problem, keys in (("unknown", unknown), ("missing", missing)):
         if keys:
             raise InvalidParameterError(f"{what}: {problem} keys {keys}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{key: _read(hints[key], item, f"{what}.{key}") for key, item in mapping.items()})
 
 
 def _check_targets(inputs, targets) -> None:
@@ -133,8 +141,6 @@ def _replacing(path):
     file gets the mode ``open(path, "w")`` would give, and a directory at
     ``path`` or an unwritable directory fails at once.  An existing target that
     is not a regular file, such as a FIFO or a device, is written directly."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"{path} is a directory")
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="") as handle:
@@ -283,7 +289,7 @@ def _batch_one(path: Path, fmt: SeriesFormat, plan: WindowPlan | None,
               help="Segment each series into windows of this many samples.")
 @click.option("--stride", type=int, default=None,
               help="Window step [default: --window, i.e. non-overlapping].")
-@click.option("--jobs", type=int, default=4, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True,
               help="Files analyzed at once, at most one per usable CPU.  Each file's "
                    "test runs on its share of the CPUs, at most two threads.")
 def batch(manifest, out, window, stride, jobs):
@@ -303,22 +309,16 @@ def batch(manifest, out, window, stride, jobs):
     exits 2 with one error line; a file that cannot be read or decoded
     becomes an error row.
     """
-    if jobs < 1:
-        raise InvalidParameterError("--jobs must be at least 1")
     manifest_path = Path(manifest)
     try:
         doc = json.loads(manifest_path.read_bytes())
     except ValueError as exc:  # not JSON, or bytes that are not text
         raise InvalidParameterError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not doc.get("inputs"):
-        raise InvalidParameterError("manifest lists no inputs")
-    unknown = sorted(doc.keys() - {"inputs", "format", "config", "window", "out"})
-    if unknown:
-        raise InvalidParameterError(f"manifest: unknown keys {unknown}")
+    _check_keys(doc, ("inputs", "format", "config", "window", "out"), ["inputs"], "manifest")
     names = doc["inputs"]
-    if not isinstance(names, list) or not all(
+    if not names or not isinstance(names, list) or not all(
             isinstance(p, str) and "\0" not in p for p in [*names, doc.get("out", "")]):
-        raise InvalidParameterError('manifest "inputs" must be a list of paths, and "out" a path')
+        raise InvalidParameterError('manifest "inputs" must list one or more paths, and "out" a path')
 
     base = manifest_path.parent
     fmt = _check_name(SeriesFormat, doc.get("format", SeriesFile.format), "format")

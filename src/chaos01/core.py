@@ -542,7 +542,7 @@ def oscillation_correction(c, n0: int, series_mean: float) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)[..., None]
     n = np.arange(1, n0 + 1, dtype=float)
-    return series_mean**2 * (1.0 - np.cos(n * c)) / (1.0 - np.cos(c))
+    return series_mean * series_mean * (1.0 - np.cos(n * c)) / (1.0 - np.cos(c))
 
 
 def growth_rate_regression(curve: MsdCurve) -> GrowthRate:

@@ -45,7 +45,7 @@ class HenonState:
 
 def henon_step(state: HenonState, a: float = 1.4, b: float = 0.3) -> HenonState:
     """Advance the Henon map by one iteration."""
-    return HenonState(x=1.0 - a * state.x**2 + state.y, y=b * state.x)
+    return HenonState(x=1.0 - a * state.x * state.x + state.y, y=b * state.x)
 
 
 @dataclass(frozen=True)

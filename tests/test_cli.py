@@ -306,6 +306,25 @@ def test_analyze_unknown_flag_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["analyze", "x.csv", "--frobnicate"], id="unknown-flag"),
+    pytest.param(["analyze", "x.csv", "--num-c", "abc"], id="bad-integer"),
+    pytest.param(["analyze", "x.csv", "--method", "centroid"], id="bad-choice"),
+    pytest.param(["analyze"], id="missing-input"),
+    pytest.param(["analyze", "x.csv", "--out", "."], id="directory-out"),
+    pytest.param(["generate", "--kind", "square", "--out", "x.csv"], id="unknown-kind"),
+    pytest.param(["batch", "m.json", "--jobs", "0"], id="zero-jobs"),
+    pytest.param(["bogus"], id="unknown-command"),
+])
+def test_usage_error_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_defaults_are_the_test_config_defaults(runner, tmp_path):
     src = _generate(runner, tmp_path, "henon")
     assert runner.invoke(main, ["analyze", str(src)]).exit_code == 0
@@ -774,12 +793,17 @@ def test_batch_with_one_job_on_one_cpu_starts_no_thread(runner, tmp_path, monkey
     pytest.param({"inputs": ["a\0.csv"]}, id="nul-in-input"),
     pytest.param({"out": 5}, id="out-not-path"),
     pytest.param({"confg": {"num_c": 4}}, id="unknown-top-level-key"),
+    pytest.param({"inputs": None}, id="null-inputs"),
+    pytest.param({"out": None}, id="null-out"),
+    # a string is the whole manifest
+    pytest.param("[1]", id="manifest-not-object"),
+    pytest.param("{}", id="no-inputs-key"),
 ])
 def test_batch_invalid_manifest_exits_2_with_one_line(runner, tmp_path, patch):
     _generate(runner, tmp_path, "uniform_random", n=600)
-    doc = {"inputs": ["uniform_random.csv"], "config": {"num_c": 4}, **patch}
+    doc = {"inputs": ["uniform_random.csv"], "config": {"num_c": 4}}
     manifest = tmp_path / "man.json"
-    manifest.write_text(json.dumps(doc))
+    manifest.write_text(patch if isinstance(patch, str) else json.dumps({**doc, **patch}))
     result = runner.invoke(main, ["batch", str(manifest)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)

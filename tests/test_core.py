@@ -4,6 +4,7 @@ aggregation, classification, and the run_test driver."""
 import dataclasses
 import json
 import math
+import os
 import platform
 import sys
 import threading
@@ -864,6 +865,13 @@ def test_run_test_leaves_no_thread_behind(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
+@pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_set_is_the_cpu_count(monkeypatch, count, expected):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert core.usable_cpus() == expected
+
+
 def _refuse_to_start(thread):
     raise AssertionError(f"{thread.name} was started")
 
@@ -970,6 +978,9 @@ def _magnitude_outcome(samples, config):
 @example(samples=[1.0, -2.0, 3.0, 0.5], e=-1000, seed=0, variant=c.MsdVariant.PLAIN)
 @example(samples=[1.0, -2.0, 3.0, 0.5], e=65, seed=0, variant=c.MsdVariant.CORRECTED)
 @example(samples=[1.0, -2.0, 3.0, 0.5], e=-66, seed=0, variant=c.MsdVariant.CORRECTED)
+# its doubled samples' mean 2m has pow's (2m)**2 != 4 * m**2, which m * m never gives
+@example(samples=c.gen_quasiperiodic(5000.0, 236).samples, e=1, seed=1,
+         variant=c.MsdVariant.CORRECTED)
 @settings(max_examples=60, deadline=None)
 def test_run_test_is_the_same_at_any_power_of_two_scale(samples, e, seed, variant):
     # ldexp(s, e) is exact but for samples that turn subnormal, so it is

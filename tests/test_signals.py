@@ -209,6 +209,14 @@ def test_henon_step_matches_map():
     assert nxt.y == pytest.approx(0.009, abs=1e-15)
 
 
+def test_henon_step_iterates_the_orbit_of_gen_henon():
+    state, orbit = c.HenonState(x=0.03, y=0.03), []
+    for _ in range(2000):
+        state = c.henon_step(state)
+        orbit.append(state.x)
+    assert np.array_equal(orbit, c.gen_henon(total=2000, keep=2000).samples)
+
+
 def test_henon_collapses_to_constant_when_coefficients_vanish():
     series = c.gen_henon(a=0.0, b=0.0, x0=0.5, y0=0.0, total=50, keep=50)
     assert np.array_equal(series.samples, np.ones(50))
