@@ -68,8 +68,9 @@ _TRIMMED = "trimmed"  # the one name the CLI adds: an alias of Aggregator.TRIMME
 
 
 class _Main(click.Group):
-    """Ends any command that raises a package or usage error with one
-    ``error:`` line, and builds ``generate`` when it is first looked up."""
+    """Ends any command, or chaos01 itself, that raises a package or usage
+    error with one ``error:`` line, and builds ``generate`` when it is first
+    looked up."""
 
     def list_commands(self, ctx):
         return sorted({*self.commands, "generate"})
@@ -78,6 +79,14 @@ class _Main(click.Group):
         if name == "generate" and name not in self.commands:
             self.add_command(_generate())
         return super().get_command(ctx, name)
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:  # a bad flag given to chaos01 itself
+            if isinstance(exc, getattr(click.exceptions, "NoArgsIsHelpError", ())):
+                raise  # a bare chaos01 prints its help: click >= 8.2 raises it, 8.0 exits
+            _fail(ctx, exc.format_message(), EXIT_USAGE)
 
     def invoke(self, ctx):
         try:
@@ -90,8 +99,13 @@ class _Main(click.Group):
             error, code = exc, EXIT_DATA
         except OSError as exc:
             error, code = exc, EXIT_IO
-        click.echo(f"error: {error}", err=True)
-        ctx.exit(code)
+        _fail(ctx, error, code)
+
+
+def _fail(ctx, error, code: int):
+    """End the run with the one line ``error: ...`` on stderr and exit ``code``."""
+    click.echo(f"error: {error}", err=True)
+    ctx.exit(code)
 
 
 def _read(cls, mapping, what: str):
@@ -129,7 +143,8 @@ def _check_targets(inputs, targets) -> None:
     for target in targets:
         path = Path(target).resolve()
         if path in taken:
-            raise InvalidParameterError(f"output path {target} is also an input or another output")
+            raise InvalidParameterError(
+                f"output path {str(target)!r} is also an input or another output")
         taken.add(path)
 
 

@@ -87,7 +87,7 @@ class Regime(str, Enum):
     CHAOTIC_OR_STOCHASTIC = "chaotic_or_stochastic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A scalar, uniformly sampled signal.
 
@@ -126,7 +126,7 @@ class TimeSeries:
         return self.samples.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TranslationTrajectory:
     """Planar trajectory ``(p, q)`` built from one series at one frequency."""
 
@@ -138,7 +138,7 @@ class TranslationTrajectory:
         return self.p.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MsdCurve:
     """Mean square displacement ``M(n)`` for lags ``n = 1 .. n_max``."""
 
@@ -698,9 +698,15 @@ def _keep_freed_blocks() -> None:
     Under glibc, freeing a block that malloc had mapped (and of at most
     32 MiB) raises its mmap threshold to that size and its trim threshold to
     twice it, so from then on a freed block below 16 MiB stays in the heap
-    with its pages in memory for the next allocation to reuse: `run_test`'s
-    workspaces, numpy's FFT scratch and the growth rates' temporaries alike,
-    which would otherwise be mapped and faulted in again on every row.
+    with its pages in memory for the next allocation to reuse.  Two callers
+    raise it before they allocate:
+    - `run_test`, whose workspaces, numpy FFT scratch and growth-rate
+      temporaries would otherwise be mapped and faulted in again on every
+      row (about 78k faults at 100k samples after a file load);
+    - `seriesio._write_table`, whose block buffers would otherwise be
+      mapped and faulted in again for every block (about 114k faults, and
+      a third of the CPU, writing 10^6 values in a fresh process, against
+      about 2.3k).
     Measured on 2 CPUs: once per process, not per call, because after the
     first call the block comes from the heap, and a block on every call
     raised `batch`'s peak memory by 5%; at least 8 MiB, because the trim

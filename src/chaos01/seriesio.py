@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .core import (TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count,
-                   _check_name, _check_rate)
+                   _check_name, _check_rate, _keep_freed_blocks)
 from .errors import (
     MissingSampleRateError,
     NonUniformSamplingError,
@@ -333,6 +333,7 @@ def _write_table(path: str | Path, header: str | None, *columns) -> None:
     """
     from ._decimal import csv_rows  # here, because batch writes with csv alone
 
+    _keep_freed_blocks()  # else each block's buffers are mapped and faulted in again
     columns = [np.asarray(column) for column in columns]
     with open(path, "w") as handle:
         if header is not None:

@@ -17,7 +17,7 @@ from .errors import MissingSampleRateError, SeriesTooShortError
 
 MIN_PSD_SAMPLES = 8
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdEstimate:
     """One-sided power spectrum, normalized so the peak equals 1.
 

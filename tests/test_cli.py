@@ -10,6 +10,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -315,6 +316,8 @@ def test_analyze_unknown_flag_exits_2(runner, tmp_path):
     pytest.param(["generate", "--kind", "square", "--out", "x.csv"], id="unknown-kind"),
     pytest.param(["batch", "m.json", "--jobs", "0"], id="zero-jobs"),
     pytest.param(["bogus"], id="unknown-command"),
+    pytest.param(["--bogus"], id="unknown-main-flag"),
+    pytest.param(["--version=3"], id="main-flag-given-a-value"),
 ])
 def test_usage_error_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
@@ -615,6 +618,7 @@ def test_batch_summary_path_naming_an_input_exits_2(runner, tmp_path):
     pytest.param(["psd", "b.txt", "--out", "b.txt"], None, id="psd-out-is-input"),
     pytest.param(["batch", "man.json", "--out", "man.json"], None, id="batch-out-is-manifest"),
     pytest.param(["batch", "man.json"], "man.json", id="manifest-out-names-itself"),
+    pytest.param(["analyze", "a\nb.csv", "--out", "a\nb.csv"], None, id="line-break-in-path"),
 ])
 def test_output_path_naming_an_input_or_another_output_exits_2(runner, tmp_path, monkeypatch,
                                                                  args, manifest_out):
@@ -1079,6 +1083,17 @@ def test_help_documents_flags(runner):
     result = runner.invoke(main, ["batch", "--help"])
     for flag in ("--window", "--stride", "--jobs"):
         assert flag in result.output
+
+
+def test_bare_help_and_version_keep_their_output(runner):
+    # a bare chaos01 prints its help: click >= 8.2 exits 2, as for a usage error, 8.0 exits 0
+    bare = runner.invoke(main, [])
+    assert bare.exit_code == (2 if hasattr(click.exceptions, "NoArgsIsHelpError") else 0)
+    assert bare.output == runner.invoke(main, ["--help"]).output
+    assert bare.output.startswith("Usage: ") and "Commands:" in bare.output
+    assert runner.invoke(main, ["--help"]).exit_code == 0
+    version = runner.invoke(main, ["--version"])
+    assert (version.exit_code, version.output) == (0, f"main, version {c.__version__}\n")
 
 
 def test_unknown_command_exits_2(runner):

@@ -167,6 +167,20 @@ def test_time_series_leaves_the_callers_array_writable_and_uncopied():
     assert series.samples[0] == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: c.TimeSeries(np.arange(3.0)), id="TimeSeries"),
+    pytest.param(lambda: c.TimeSeries([1.0]), id="TimeSeries-one-sample"),
+    pytest.param(lambda: c.TranslationTrajectory(1.0, np.arange(3.0), np.arange(3.0)),
+                 id="TranslationTrajectory"),
+    pytest.param(lambda: c.MsdCurve(1.0, np.arange(3.0)), id="MsdCurve"),
+    pytest.param(lambda: c.PsdEstimate(np.arange(3.0), np.arange(3.0)), id="PsdEstimate"),
+])
+def test_array_holding_types_compare_by_identity_and_hash_by_id(make):
+    one, same = make(), make()
+    assert one == one and one != same
+    assert hash(one) == object.__hash__(one) and len({one, same}) == 2
+
+
 # ---------------------------------------------------------------------------
 # mean square displacement
 
@@ -1090,6 +1104,17 @@ def test_run_test_after_a_file_load_reuses_freed_pages(tmp_path):
         f"series = c.load_series(c.SeriesFile({str(path)!r}, 'time_value_csv'))\n"
         "run = lambda: c.run_test(series, c.TestConfig(seed=1))")
     assert faults < 20_000
+
+
+@_GLIBC_ONLY
+def test_a_cold_write_faults_in_few_pages(tmp_path):
+    # with glibc's mmap threshold at its start, each block's buffers are
+    # mapped and faulted in again: about 114k faults for 10^6 values
+    faults = _faults_in_a_fresh_process(
+        "import numpy as np, chaos01 as c\n"
+        "series = c.TimeSeries(np.random.default_rng(32).standard_normal(10**6))\n"
+        f"run = lambda: c.write_series(series, {str(tmp_path / 'x.txt')!r})")
+    assert faults < 10_000
 
 
 def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
