@@ -328,6 +328,27 @@ def test_usage_error_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@given(name=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0/"),
+                    min_size=1, max_size=6))
+@example(name="a\nb.csv")
+@example(name=" ")
+@settings(max_examples=40, deadline=None)
+def test_any_path_or_flag_text_fails_with_one_error_line(name):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        os.mkdir("d")
+        _write_manifest(Path("d/m.json"), [name], out=name)
+        for args, code in [(["analyze", "--out", name, "--", name], 2),
+                           (["psd", "--", name], 2 if os.path.isdir(name) else 3),
+                           (["batch", "d/m.json"], 2),
+                           (["analyze", "x.csv", "--bogus" + name], 2),
+                           (["--bogus" + name], 2)]:
+            result = runner.invoke(main, args)
+            assert result.exit_code == code, (args, result.output)
+            assert result.output.startswith("error: ") and result.output.endswith("\n")
+            assert len(result.output.splitlines()) == 1, result.output
+
+
 def test_analyze_defaults_are_the_test_config_defaults(runner, tmp_path):
     src = _generate(runner, tmp_path, "henon")
     assert runner.invoke(main, ["analyze", str(src)]).exit_code == 0
