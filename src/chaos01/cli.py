@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -138,13 +139,20 @@ def _check_keys(mapping, names, required, what: str) -> None:
 
 def _check_targets(inputs, targets) -> None:
     """Raise unless each output path names a file apart from every input and
-    every other output, so that no command overwrites what it reads or writes."""
+    every other output, so that no command overwrites what it reads or writes,
+    and in a directory that exists, so that no command does its work, or
+    writes part of its output, only to fail at a later file.  A missing
+    directory raises the error ``open`` would, naming the path as given."""
     taken = {Path(path).resolve() for path in inputs}
     for target in targets:
         path = Path(target).resolve()
         if path in taken:
             raise InvalidParameterError(
                 f"output path {str(target)!r} is also an input or another output")
+        if not path.parent.is_dir():
+            nearest = next(parent for parent in path.parents if parent.exists())
+            code = errno.ENOENT if nearest.is_dir() else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), os.fspath(target))
         taken.add(path)
 
 
@@ -154,16 +162,20 @@ def _replacing(path):
     symlinks, which replaces that file when the block ends and is removed if
     the block raises, so an interrupted run leaves the old file whole.  The new
     file gets the mode ``open(path, "w")`` would give, and a directory at
-    ``path`` or an unwritable directory fails at once.  An existing target that
-    is not a regular file, such as a FIFO or a device, is written directly."""
-    path = os.path.realpath(path)
+    ``path`` or an unwritable directory fails at once, with an error that names
+    ``path`` as given.  An existing target that is not a regular file, such as
+    a FIFO or a device, is written directly."""
+    given, path = os.fspath(path), os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="") as handle:
             yield handle
         return
     directory, name = os.path.split(path)
     partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.partial")
-    handle = open(partial, "x", newline="")
+    try:
+        handle = open(partial, "x", newline="")
+    except OSError as exc:  # not the partial file's random name
+        raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with handle:
             yield handle
@@ -203,6 +215,7 @@ def _generate() -> click.Command:
     def generate(out, **fields):
         """Write one reference signal to a file."""
         spec = signals.GeneratorSpec(**fields)
+        _check_targets([], [out])
         series = signals.make_series(spec)
         write_series(series, out)
         click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} "

@@ -208,17 +208,10 @@ class TestConfig:
     def __post_init__(self):
         _check_size("num_c", self.num_c, 1)
         _check_count("seed", self.seed, 0)
-        for name in ("c_low", "c_high", "trim_fraction", "n0_fraction"):
-            _check_real(name, getattr(self, name))
-        if not (0.0 <= self.c_low < self.c_high <= TWO_PI
-                and self.c_low < math.nextafter(self.c_high, 0.0)):
-            raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi with a float between")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
-        if not 0.0 < self.n0_fraction <= 0.5:
-            raise InvalidParameterError("n0_fraction must lie in (0, 0.5]")
-        if not isinstance(self.bands, ClassificationBands):
-            raise InvalidParameterError(f"bands must be ClassificationBands, got {self.bands!r}")
+        _check_draw_range(self.c_low, self.c_high)
+        _check_trim_fraction(self.trim_fraction)
+        _check_n0_fraction(self.n0_fraction)
+        _check_bands(self.bands)
         # Accept plain strings for the enum fields so configs parsed from
         # JSON or CLI flags do not need pre-conversion.
         for name, kind in (("method", Method), ("aggregator", Aggregator),
@@ -260,6 +253,34 @@ def _check_angle(name: str, value) -> None:
     """The one probe-angle rule: strictly inside (0, 2*pi)."""
     if not 0.0 < value < TWO_PI:
         raise InvalidParameterError(f"{name} must lie strictly inside (0, 2*pi)")
+
+
+def _check_draw_range(c_low, c_high) -> None:
+    """The one rule for the range the probe angles are drawn from."""
+    _check_real("c_low", c_low)
+    _check_real("c_high", c_high)
+    if not (0.0 <= c_low < c_high <= TWO_PI and c_low < math.nextafter(c_high, 0.0)):
+        raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi with a float between")
+
+
+def _check_trim_fraction(value) -> None:
+    """The one trim rule: a real number in [0, 0.5)."""
+    _check_real("trim_fraction", value)
+    if not 0.0 <= value < 0.5:
+        raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
+
+
+def _check_n0_fraction(value) -> None:
+    """The one lag-window rule: a real number in (0, 0.5]."""
+    _check_real("n0_fraction", value)
+    if not 0.0 < value <= 0.5:
+        raise InvalidParameterError("n0_fraction must lie in (0, 0.5]")
+
+
+def _check_bands(bands) -> None:
+    """The one bands rule: an instance of ``ClassificationBands``."""
+    if not isinstance(bands, ClassificationBands):
+        raise InvalidParameterError(f"bands must be ClassificationBands, got {bands!r}")
 
 
 def _check_rate(rate) -> None:
@@ -376,7 +397,7 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
     if n0 >= n_len:
         raise InvalidParameterError("n0 must satisfy 1 <= n0 < len(trajectory)")
     steps = np.diff([traj.p + 1j * traj.q], prepend=0.0)
-    plan = _plan(n_len, n0, 1, 1)
+    plan = _Plan(n_len, n0, 1, 1)
     return MsdCurve(c=traj.c, values=_msd_rows(steps, plan, *plan.workspaces())[0])
 
 
@@ -395,44 +416,27 @@ def _fast_len(n: int) -> int:
     return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
-@dataclass(frozen=True)
 class _Plan:
-    """The MSD kernel's sizes for ``n_len`` samples: the lag window ``n0``,
-    the FFT length ``size``, the angles per chunk ``rows`` and the
-    ``workers``, each of which holds one set of the three workspaces of
-    ``_msd_rows``.  Only ``_plan`` builds one."""
+    """The one sizing rule of the MSD kernel, for ``n_len`` samples, the lag
+    window ``n0`` and ``angles`` probe angles on at most ``cpus`` CPUs: the
+    FFT length ``size``; the angles per chunk ``rows``, as many as
+    ``_CHUNK_ELEMENTS`` entries of the FFT length hold, and at least one; the
+    ``workers`` that share the chunks, at most ``cpus`` and
+    ``_CHUNKS_IN_FLIGHT`` (both constants are read here, when a plan is
+    made); and ``need``, the complex entries of each worker's ``table``,
+    ``spectrum`` and ``per_lag`` in ``_msd_rows``.  The table first holds the
+    steps (``_grid``'s layout), then the inverse FFT's output."""
 
-    n_len: int
-    n0: int
-    size: int
-    rows: int
-    workers: int
-
-    @property
-    def need(self) -> tuple[int, int, int]:
-        """Complex entries of one worker's ``table``, ``spectrum`` and
-        ``per_lag``.  The table first holds the steps (``_grid``'s layout),
-        then the inverse FFT's output."""
-        return (self.rows * max(math.prod(_grid(self.n_len)), self.size // 2 + 1),
-                self.rows * self.size, 3 * self.rows * self.n0)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of one worker's three workspaces."""
-        return 16 * sum(self.need)
+    def __init__(self, n_len: int, n0: int, angles: int, cpus: int):
+        size = _fast_len(n_len + n0)
+        rows = min(angles, max(1, _CHUNK_ELEMENTS // size))
+        self.n_len, self.n0, self.size, self.rows = n_len, n0, size, rows
+        self.workers = min(-(-angles // rows), cpus, _CHUNKS_IN_FLIGHT)
+        self.need = (rows * max(math.prod(_grid(n_len)), size // 2 + 1), rows * size,
+                     3 * rows * n0)
 
     def workspaces(self) -> list[np.ndarray]:
         return [np.empty(count, dtype=complex) for count in self.need]
-
-
-def _plan(n_len: int, n0: int, angles: int, cpus: int) -> _Plan:
-    """The one sizing rule: a chunk holds as many rows as ``_CHUNK_ELEMENTS``
-    entries of the FFT length, and at least one, and at most ``cpus`` and
-    ``_CHUNKS_IN_FLIGHT`` workers share the chunks.  Both constants are read
-    here, at call time."""
-    size = _fast_len(n_len + n0)
-    rows = min(angles, max(1, _CHUNK_ELEMENTS // size))
-    return _Plan(n_len, n0, size, rows, min(-(-angles // rows), cpus, _CHUNKS_IN_FLIGHT))
 
 
 def _msd_rows(steps: np.ndarray, plan: _Plan, table: np.ndarray, spectrum: np.ndarray,
@@ -601,11 +605,14 @@ def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Ag
     ------
     AllDegenerateError
         If no entry carries a usable growth rate.
+    InvalidParameterError
+        If ``aggregator`` or ``trim_fraction`` breaks ``TestConfig``'s rule.
     """
+    aggregator = _check_name(Aggregator, aggregator, "aggregator")
+    _check_trim_fraction(trim_fraction)
     usable = np.array([abs(r.k) for r in rates if not r.degenerate])
     if usable.size == 0:
         raise AllDegenerateError("no usable growth rate at any probed frequency")
-    aggregator = _check_name(Aggregator, aggregator, "aggregator")
     if aggregator is Aggregator.MEAN:
         return float(np.mean(usable))
     if aggregator is Aggregator.MEDIAN:
@@ -620,7 +627,8 @@ def classify(k_m: float, bands: ClassificationBands | None = None) -> Regime:
     """Map an aggregated growth rate onto a regularity regime."""
     if not k_m >= 0.0:  # NaN too
         raise InvalidParameterError(f"k_m must be non-negative, got {k_m!r}")
-    bands = bands or ClassificationBands()
+    bands = ClassificationBands() if bands is None else bands
+    _check_bands(bands)
     if k_m < bands.regular_max:
         return Regime.REGULAR
     if k_m < bands.quasi_periodic_max:
@@ -632,6 +640,8 @@ def classify(k_m: float, bands: ClassificationBands | None = None) -> Regime:
 
 def lag_window(num_samples: int, n0_fraction: float) -> int:
     """Largest displacement lag used for a series of the given length."""
+    _check_count("num_samples", num_samples, 1)
+    _check_n0_fraction(n0_fraction)
     return max(2, math.floor(n0_fraction * num_samples))
 
 
@@ -764,7 +774,7 @@ def _run_test(series: TimeSeries, config: TestConfig, cpus: int) -> TestResult:
         )
 
     angles = _draw_frequencies(config)
-    plan = _plan(n_len, n0, angles.size, cpus)
+    plan = _Plan(n_len, n0, angles.size, cpus)
     samples = _in_range(series.samples)
     mean = float(np.mean(samples))
 

@@ -555,6 +555,56 @@ def test_batch_unwritable_summary_exits_3_before_any_analysis(runner, tmp_path, 
         assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["analyze", "h.csv", "--scatter", "nodir/k.csv"], id="analyze-scatter"),
+    pytest.param(["analyze", "h.csv", "--out", "nodir/r.json"], id="analyze-out"),
+    pytest.param(["analyze", "h.csv", "--trajectory", "nodir/pq.csv"], id="analyze-trajectory"),
+    pytest.param(["psd", "h.csv", "--out", "nodir/p.csv"], id="psd"),
+    pytest.param(["batch", "m.json", "--out", "nodir/s.csv"], id="batch"),
+    pytest.param(["generate", "--kind", "sine", "--out", "nodir/g.csv"], id="generate"),
+    pytest.param(["generate", "--kind", "sine", "--out", "no/dir/g.csv"], id="nested"),
+])
+def test_output_in_a_missing_directory_exits_3_before_any_work(runner, tmp_path, monkeypatch,
+                                                                args):
+    # analyze used to run the test and write its result before the scatter
+    # failed, and batch named its partial file, a new random name each run
+    monkeypatch.chdir(tmp_path)
+    _generate(runner, tmp_path, "henon", n=600)
+    (tmp_path / "henon.csv").rename("h.csv")
+    _write_manifest(tmp_path / "m.json", ["h.csv"], config={"num_c": 4})
+    calls = []
+    for name in ("run_test", "_run_test", "load_series", "write_series"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    before = sorted(tmp_path.rglob("*"))
+    results = [runner.invoke(main, args) for _ in range(2)]
+    target = args[args.index("--out") + 1] if "--out" in args else args[-1]
+    line = f"error: [Errno 2] No such file or directory: {target!r}\n"
+    assert [(result.exit_code, result.output) for result in results] == [(3, line)] * 2
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", ["f/g.csv", "f/sub/g.csv"])
+def test_output_under_a_file_exits_3_as_open_would(runner, tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_text("")
+    with pytest.raises(NotADirectoryError) as info:
+        open(target, "w")
+    result = runner.invoke(main, ["generate", "--kind", "sine", "--out", target])
+    assert result.exit_code == 3
+    assert result.output == f"error: {info.value}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+
+
+def test_replacing_names_the_given_path_when_it_cannot_start(tmp_path):
+    # an unwritable directory fails the same way; as root none can be made
+    target = tmp_path / "nodir" / "s.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        with cli._replacing(target):
+            pass
+    assert str(info.value) == f"[Errno 2] No such file or directory: {str(target)!r}"
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch):
     src = _generate(runner, tmp_path, "uniform_random", n=600)
     manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})

@@ -1,7 +1,6 @@
 """Unit tests for translation variables, displacement curves, growth rates,
 aggregation, classification, and the run_test driver."""
 
-import dataclasses
 import json
 import math
 import os
@@ -271,7 +270,7 @@ def test_msd_kernel_matches_direct_evaluation_at_odd_and_even_fft_lengths(n_len,
     # The real inverse FFT pairs bin k with bin (L - k) % L; odd and even L
     # index the middle of the spectrum differently.
     angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5, 5.9])  # the second is resonant
-    plan = core._plan(n_len, n0, angles.size, 1)
+    plan = core._Plan(n_len, n0, angles.size, 1)
     assert (plan.size, plan.rows) == (size, angles.size)
     for series in (c.gen_sawtooth(100.0, 5000.0, n_len), c.gen_quasiperiodic(5000.0, n_len)):
         got = core._msd_rows(core._steps(series.samples, angles), plan, *plan.workspaces())
@@ -287,7 +286,7 @@ def test_msd_kernel_rows_do_not_depend_on_what_its_buffers_held(n_len, n0, size)
     series = c.gen_quasiperiodic(5000.0, n_len)
     other = c.gen_sawtooth(100.0, 5000.0, n_len)
     angles = np.array([0.3, 2.0 * math.pi / 50.0, 2.5])
-    plan = core._plan(n_len, n0, angles.size, 1)
+    plan = core._Plan(n_len, n0, angles.size, 1)
     assert (plan.size, plan.rows) == (size, angles.size)
     fresh = core._msd_rows(core._steps(series.samples, angles), plan, *plan.workspaces())
     table, spectrum, per_lag = (np.full(count, np.nan, dtype=complex) for count in plan.need)
@@ -305,7 +304,7 @@ def test_msd_kernel_rows_do_not_depend_on_what_its_buffers_held(n_len, n0, size)
 
 def _inline_sizes(n_len, angles, cpus):
     """The kernel's sizes as ``run_test`` computed them inline before the plan
-    owned them: the oracle for ``core._plan``."""
+    owned them: the oracle for ``core._Plan``."""
     n0 = c.lag_window(n_len, c.DEFAULT_N0_FRACTION)
     size = core._fast_len(n_len + n0)
     rows = min(angles, max(1, core._CHUNK_ELEMENTS // size))
@@ -325,14 +324,14 @@ def _inline_sizes(n_len, angles, cpus):
 def test_plan_matches_the_inline_sizing_rules(monkeypatch, n_len, angles, cpus, known):
     def plan_and_oracle():
         sizes, need = _inline_sizes(n_len, angles, cpus)
-        plan = core._plan(n_len, sizes[1], angles, cpus)
-        assert (dataclasses.astuple(plan), plan.need) == (sizes, need)
-        assert plan.nbytes == 16 * sum(need)
+        plan = core._Plan(n_len, sizes[1], angles, cpus)
+        sizes_of_plan = (plan.n_len, plan.n0, plan.size, plan.rows, plan.workers)
+        assert (sizes_of_plan, plan.need) == (sizes, need)
         return sizes, need
 
     if known is not None:
         assert plan_and_oracle() == known
-    # the builder reads the chunk budget and the cap when it is called
+    # the plan reads the chunk budget and the cap when it is made
     for budget, cap in ((1, 2), (1 << 30, 3), (1 << 15, 1)):
         monkeypatch.setattr(core, "_CHUNK_ELEMENTS", budget)
         monkeypatch.setattr(core, "_CHUNKS_IN_FLIGHT", cap)
@@ -340,9 +339,9 @@ def test_plan_matches_the_inline_sizing_rules(monkeypatch, n_len, angles, cpus, 
 
 
 def test_plan_workspaces_are_its_need_in_complex_entries():
-    plan = core._plan(2000, 560, 100, 2)
+    plan = core._Plan(2000, 560, 100, 2)
     assert [(w.dtype, w.size) for w in plan.workspaces()] == [(np.complex128, n) for n in plan.need]
-    assert plan.nbytes == sum(w.nbytes for w in plan.workspaces())
+    assert 16 * sum(plan.need) == sum(w.nbytes for w in plan.workspaces())
 
 
 def test_msd_kernel_keeps_short_lags_at_a_million_samples():
@@ -539,6 +538,34 @@ def test_aggregate_all_degenerate_raises():
         c.aggregate_k(_rates([0.0, 0.0], degenerate={0, 1}), c.Aggregator.MEAN)
 
 
+def _config_error(**kwargs) -> str:
+    """The message with which ``TestConfig`` refuses ``kwargs``."""
+    with pytest.raises(c.InvalidParameterError) as info:
+        c.TestConfig(**kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.7, -0.1, math.nan, True, "0.25", None])
+@pytest.mark.parametrize("aggregator", list(c.Aggregator))
+@pytest.mark.parametrize("degenerate", [(), (0, 1, 2)])
+def test_aggregate_refuses_a_trim_fraction_as_the_config_does(aggregator, fraction, degenerate):
+    # at 0.5 and 0.7 the trimmed mean was the mean of nothing, NaN with two
+    # RuntimeWarnings; at -0.1, NaN and True numpy raised a ValueError.  The
+    # arguments are checked before the rates, as TestConfig checks them
+    # before any rate exists.
+    with pytest.raises(c.InvalidParameterError) as info:
+        c.aggregate_k(_rates([0.1, 0.2, 0.3], degenerate), aggregator, fraction)
+    assert str(info.value) == _config_error(trim_fraction=fraction)
+
+
+@pytest.mark.parametrize("bands", [3, (0.1, 0.2, 0.3), {}, {"regular_max": 0.1}, "bands"])
+def test_classify_refuses_bands_as_the_config_does(bands):
+    # 3 and a tuple raised AttributeError; an empty dict meant the defaults
+    with pytest.raises(c.InvalidParameterError) as info:
+        c.classify(0.3, bands)
+    assert str(info.value) == _config_error(bands=bands)
+
+
 @pytest.mark.parametrize("k_m,expected", [
     (0.0, c.Regime.REGULAR),
     (0.094, c.Regime.REGULAR),
@@ -632,6 +659,22 @@ def test_lag_window_floor_and_minimum():
     assert c.lag_window(5000, 0.1) == 500
     assert c.lag_window(10, 0.28) == 2
     assert c.lag_window(3, 0.28) == 2
+    assert c.lag_window(np.int64(5000), 0.5) == 2500
+
+
+@pytest.mark.parametrize("fraction", [2.0, 0.6, 0.0, -0.1, math.nan, math.inf, True, "0.28"])
+def test_lag_window_refuses_an_n0_fraction_as_the_config_does(fraction):
+    # 2.0 gave a window of 200 lags on 100 samples; NaN raised a ValueError
+    with pytest.raises(c.InvalidParameterError) as info:
+        c.lag_window(100, fraction)
+    assert str(info.value) == _config_error(n0_fraction=fraction)
+
+
+@pytest.mark.parametrize("num_samples", [0, -5, 100.0, True, "100", None])
+def test_lag_window_refuses_a_sample_count_that_is_no_count(num_samples):
+    with pytest.raises(c.InvalidParameterError,
+                       match=r"^num_samples must be an integer of at least 1, got "):
+        c.lag_window(num_samples, 0.28)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1165,7 @@ def test_msd_kernel_memory_stays_near_a_few_rows_of_arrays():
     series = c.gen_quasiperiodic(5000.0, 100_000)
     n0 = c.lag_window(len(series), c.DEFAULT_N0_FRACTION)
     steps = core._steps(series.samples, np.array([0.7]))
-    plan = core._plan(len(series), n0, 1, 1)
+    plan = core._Plan(len(series), n0, 1, 1)
     tracemalloc.start()
     try:
         core._msd_rows(steps, plan, *plan.workspaces())
@@ -1169,9 +1212,9 @@ def test_run_test_memory_at_a_million_samples_stays_within_its_plan(workers):
             "print(1024 * (status('VmHWM') - before))")
     proc = source_tree_python(["-c", code, str(workers)])
     assert proc.returncode == 0, proc.stderr
-    plan = core._plan(10**6, c.lag_window(10**6, c.DEFAULT_N0_FRACTION), 20, workers)
+    plan = core._Plan(10**6, c.lag_window(10**6, c.DEFAULT_N0_FRACTION), 20, workers)
     assert (plan.size, plan.rows, plan.workers) == (1_280_000, 1, workers)
-    bound = plan.workers * (plan.nbytes + 2 * 16 * plan.size) + 16 * plan.size
+    bound = plan.workers * (16 * sum(plan.need) + 2 * 16 * plan.size) + 16 * plan.size
     assert int(proc.stdout) < bound
 
 

@@ -318,6 +318,10 @@ CASES: dict[str, list[list[str]]] = {
         *(step for n in (2**57, 2**61) for step in (
             _manifest(f"n{n}.json", {"inputs": ["a.csv"], "config": {"num_c": n}}),
             ["cli", "batch", f"n{n}.json"])),
+        # an output in a missing directory
+        ["cli", "analyze", "a.csv", "--scatter", "nodir/k.csv"],
+        _manifest("few.json", {"inputs": ["a.csv"], "config": {"num_c": 4}}),
+        ["cli", "batch", "few.json", "--out", "nodir/s.csv"],
     ],
 }
 
