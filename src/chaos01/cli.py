@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import errno
 import json
 import os
 import shutil
@@ -139,46 +138,43 @@ def _check_keys(mapping, names, required, what: str) -> None:
 
 def _check_targets(inputs, targets) -> None:
     """Raise unless each output path names a file apart from every input and
-    every other output, so that no command overwrites what it reads or writes,
-    and in a directory that exists, so that no command does its work, or
-    writes part of its output, only to fail at a later file.  A missing
-    directory raises the error ``open`` would, naming the path as given."""
+    every other output, so that no command overwrites what it reads or writes."""
     taken = {Path(path).resolve() for path in inputs}
     for target in targets:
         path = Path(target).resolve()
         if path in taken:
             raise InvalidParameterError(
                 f"output path {str(target)!r} is also an input or another output")
-        if not path.parent.is_dir():
-            nearest = next(parent for parent in path.parents if parent.exists())
-            code = errno.ENOENT if nearest.is_dir() else errno.ENOTDIR
-            raise OSError(code, os.strerror(code), os.fspath(target))
         taken.add(path)
 
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A text handle on a new file beside the file ``path`` names, through any
-    symlinks, which replaces that file when the block ends and is removed if
-    the block raises, so an interrupted run leaves the old file whole.  The new
-    file gets the mode ``open(path, "w")`` would give, and a directory at
-    ``path`` or an unwritable directory fails at once, with an error that names
-    ``path`` as given.  An existing target that is not a regular file, such as
-    a FIFO or a device, is written directly."""
+    """The path of a new, empty file beside the file ``path`` names, through
+    any symlinks, which replaces that file when the block ends and is removed
+    if the block raises, so an interrupted run leaves the old file whole.
+    Every command enters one for each of its outputs before its work, so an
+    output that cannot be written fails at once, with the error ``open``
+    gives, naming ``path`` as given.  The new file gets the mode
+    ``open(path, "w")`` would give, or the old file's.  An existing ``path``
+    that is not a regular file, such as a FIFO, a device or ``/dev/stdout``
+    on a pipe, is opened at once, held open, and yielded as given, to be
+    written directly; a directory, or a path that ends in no file name, fails
+    there."""
     given, path = os.fspath(path), os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline="") as handle:
-            yield handle
+    if os.path.basename(given) in ("", ".", "..") or (
+            os.path.exists(given) and not os.path.isfile(given)):
+        with open(given, "w"):
+            yield given
         return
     directory, name = os.path.split(path)
     partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.partial")
     try:
-        handle = open(partial, "x", newline="")
+        open(partial, "x").close()
     except OSError as exc:  # not the partial file's random name
         raise OSError(exc.errno, exc.strerror, given) from None
     try:
-        with handle:
-            yield handle
+        yield partial
         if os.path.exists(path):
             shutil.copymode(path, partial)
         os.replace(partial, path)
@@ -215,9 +211,9 @@ def _generate() -> click.Command:
     def generate(out, **fields):
         """Write one reference signal to a file."""
         spec = signals.GeneratorSpec(**fields)
-        _check_targets([], [out])
-        series = signals.make_series(spec)
-        write_series(series, out)
+        with _replacing(out) as partial:
+            series = signals.make_series(spec)
+            write_series(series, partial)
         click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} "
                    f"{signals._describe(spec)}")
 
@@ -256,14 +252,15 @@ def analyze(input, fmt, out, scatter, trajectory, trajectory_c, **options):
     base = Path(input).with_suffix("")
     out, scatter = out or f"{base}.result.json", scatter or f"{base}.kc.csv"
     _check_targets([input], [path for path in (out, scatter, trajectory) if path is not None])
-    series = load_series(SeriesFile(path=input, format=fmt))
-    result = run_test(series, config)
-    # before any file is written, so that a path that overflows writes none
-    path = None if trajectory is None else translation_variables(series, trajectory_c)
-    export_result(result, out)
-    export_scatter(result, scatter)
-    if path is not None:
-        export_trajectory(path, trajectory)
+    with contextlib.ExitStack() as outputs:
+        out, scatter, trajectory = [path and outputs.enter_context(_replacing(path))
+                                    for path in (out, scatter, trajectory)]
+        series = load_series(SeriesFile(path=input, format=fmt))
+        result = run_test(series, config)
+        export_result(result, out)
+        export_scatter(result, scatter)
+        if trajectory is not None:
+            export_trajectory(translation_variables(series, trajectory_c), trajectory)
     if result.short_series:
         click.echo(f"note: only {len(series)} samples, treat the statistic as advisory", err=True)
     click.echo(f"K_m={result.k_m!r} label={result.label.value}")
@@ -281,9 +278,10 @@ def psd_command(input, fmt, out):
 
     target = out or f"{Path(input).with_suffix('')}.psd.csv"
     _check_targets([input], [target])
-    series = load_series(SeriesFile(path=input, format=fmt))
-    estimate = psd(series)
-    export_psd(estimate, target)
+    with _replacing(target) as partial:
+        series = load_series(SeriesFile(path=input, format=fmt))
+        estimate = psd(series)
+        export_psd(estimate, partial)
     click.echo(f"wrote {target}: {estimate.frequencies.size} bins")
 
 
@@ -360,7 +358,7 @@ def batch(manifest, out, window, stride, jobs):
     target = out or (base / doc["out"] if "out" in doc
                      else f"{manifest_path.with_suffix('')}.summary.csv")
     _check_targets([manifest_path, *(base / name for name in names)], [target])
-    with _replacing(target) as handle:  # an unwritable target fails before any work
+    with _replacing(target) as partial:
         # file threads times each run_test's threads stay within the CPUs:
         # more only contend
         available = usable_cpus()
@@ -369,9 +367,10 @@ def batch(manifest, out, window, stride, jobs):
         per_file = _on_threads(lambda name: _batch_one(base / name, fmt, plan, config, cpus),
                                names, threads)
         rows = [row for group in per_file for row in group]
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])
-        writer.writerows(rows)
+        with open(partial, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["file", "n", "k_m", "label", "degenerate_count", "error"])
+            writer.writerows(rows)
 
     succeeded = sum(1 for row in rows if row[5] == "")
     click.echo(f"wrote {target}: {succeeded}/{len(rows)} rows analyzed")

@@ -109,13 +109,7 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1:
-            raise InvalidParameterError("samples must be one-dimensional")
-        if samples.size == 0:
-            raise InvalidParameterError("samples must be non-empty")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidParameterError("samples must be finite")
+        samples = _check_array("samples", self.samples)
         _check_rate(self.sample_rate)
         # Freeze a view, not the caller's own array, and copy nothing.
         samples = samples.view()
@@ -128,11 +122,24 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class TranslationTrajectory:
-    """Planar trajectory ``(p, q)`` built from one series at one frequency."""
+    """Planar trajectory ``(p, q)`` built from one series at one frequency.
+
+    ``c`` is a real number, and ``p`` and ``q`` are finite, non-empty,
+    one-dimensional float arrays of one length, stored as given when they
+    are float64.
+    """
 
     c: float
     p: np.ndarray
     q: np.ndarray
+
+    def __post_init__(self):
+        _check_real("c", self.c)
+        p, q = _check_array("p", self.p), _check_array("q", self.q)
+        if p.size != q.size:
+            raise InvalidParameterError(f"p and q must have one length, got {p.size} and {q.size}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __len__(self) -> int:
         return self.p.size
@@ -140,10 +147,19 @@ class TranslationTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class MsdCurve:
-    """Mean square displacement ``M(n)`` for lags ``n = 1 .. n_max``."""
+    """Mean square displacement ``M(n)`` for lags ``n = 1 .. n_max``.
+
+    ``c`` is a real number and ``values`` a non-empty, one-dimensional float
+    array.  Values that are not finite are kept, for the growth-rate
+    estimators to judge.
+    """
 
     c: float
     values: np.ndarray
+
+    def __post_init__(self):
+        _check_real("c", self.c)
+        object.__setattr__(self, "values", _check_array("values", self.values, finite=False))
 
     @property
     def n_max(self) -> int:
@@ -249,9 +265,23 @@ def _check_real(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_array(name: str, value, finite: bool = True) -> np.ndarray:
+    """The one rule of an array a type holds: ``value`` as a non-empty,
+    one-dimensional float array, and finite unless ``finite`` is false."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != 1:
+        raise InvalidParameterError(f"{name} must be one-dimensional")
+    if array.size == 0:
+        raise InvalidParameterError(f"{name} must be non-empty")
+    if finite and not np.all(np.isfinite(array)):
+        raise InvalidParameterError(f"{name} must be finite")
+    return array
+
+
 def _check_angle(name: str, value) -> None:
-    """The one probe-angle rule: strictly inside (0, 2*pi)."""
-    if not 0.0 < value < TWO_PI:
+    """The one probe-angle rule: strictly inside (0, 2*pi), for a number or
+    for each entry of an array."""
+    if not np.all((0.0 < value) & (value < TWO_PI)):
         raise InvalidParameterError(f"{name} must lie strictly inside (0, 2*pi)")
 
 
@@ -542,9 +572,13 @@ def oscillation_correction(c, n0: int, series_mean: float) -> np.ndarray:
 
     Subtracting this from the plain curve yields the corrected variant; the
     result may be negative, which the growth-rate estimators tolerate.  An
-    array of frequencies ``c`` gives one row per frequency.
+    array of frequencies ``c`` gives one row per frequency.  Each ``c`` lies
+    strictly inside (0, 2*pi) and ``n0`` is an integer of at least 1.
     """
-    c = np.asarray(c, dtype=float)[..., None]
+    _check_count("n0", n0, 1)
+    c = np.asarray(c, dtype=float)
+    _check_angle("c", c)
+    c = c[..., None]
     n = np.arange(1, n0 + 1, dtype=float)
     return series_mean * series_mean * (1.0 - np.cos(n * c)) / (1.0 - np.cos(c))
 
@@ -555,8 +589,7 @@ def growth_rate_regression(curve: MsdCurve) -> GrowthRate:
     Non-positive values of ``M`` have no logarithm and are skipped; when
     fewer than two usable points remain the result is degenerate.
     """
-    return _growth_rates([_in_range(np.asarray(curve.values, dtype=float))], [curve.c],
-                         Method.REGRESSION)[0]
+    return _growth_rates([_in_range(curve.values)], [curve.c], Method.REGRESSION)[0]
 
 
 def growth_rate_correlation(curve: MsdCurve) -> GrowthRate:
@@ -566,8 +599,7 @@ def growth_rate_correlation(curve: MsdCurve) -> GrowthRate:
     individual runaway fits.  A flat curve has no defined correlation and
     yields a degenerate result.
     """
-    return _growth_rates([_in_range(np.asarray(curve.values, dtype=float))], [curve.c],
-                         Method.CORRELATION)[0]
+    return _growth_rates([_in_range(curve.values)], [curve.c], Method.CORRELATION)[0]
 
 
 def _growth_rates(values: np.ndarray, angles, method: Method) -> list[GrowthRate]:

@@ -605,51 +605,80 @@ def test_replacing_names_the_given_path_when_it_cannot_start(tmp_path):
     assert not (tmp_path / "nodir").exists()
 
 
-def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch):
-    src = _generate(runner, tmp_path, "uniform_random", n=600)
-    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
-    summary = tmp_path / "man.summary.csv"
-    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
+# Each command's arguments, in a directory that `_command_inputs` filled; the
+# outputs they write, the one that --out names first; and the name in cli
+# that the command calls while its outputs are open.
+_OUTPUTS = {
+    "batch": (["batch", "man.json"], ["man.summary.csv"], "_run_test"),
+    "analyze": (["analyze", "src.txt", "--num-c", "4"], ["src.result.json", "src.kc.csv"],
+                "export_scatter"),
+    "psd": (["psd", "src.txt"], ["src.psd.csv"], "export_psd"),
+    "generate": (["generate", "--kind", "sine", "--n", "600", "--out", "g.csv"], ["g.csv"],
+                 "write_series"),
+}
+
+
+def _command_inputs(tmp_path):
+    noise = c.gen_uniform_random(600, seed=1).samples
+    c.write_series(c.TimeSeries(noise, sample_rate=1000.0), tmp_path / "src.txt")
+    _write_manifest(tmp_path / "man.json", ["src.txt"], config={"num_c": 4})
+
+
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch, command):
+    # analyze used to leave the new result beside the old scatter
+    args, outputs, inside = _OUTPUTS[command]
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    assert runner.invoke(main, args).exit_code == 0
     (tmp_path / "plain.txt").write_text("")  # the mode open(path, "w") gives a new file
-    assert summary.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
-    summary.chmod(0o640)
+    fresh = {name: (tmp_path / name).read_bytes() for name in outputs}
+    for name in outputs:
+        assert (tmp_path / name).stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        (tmp_path / name).write_text("old\n")
+        (tmp_path / name).chmod(0o640)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
     def interrupt(*args):
         raise KeyboardInterrupt
 
     with monkeypatch.context() as patch:
-        patch.setattr("chaos01.cli._run_test", interrupt)
-        result = runner.invoke(main, ["batch", str(manifest)])
+        patch.setattr(cli, inside, interrupt)
+        result = runner.invoke(main, args)
     assert result.exit_code == 1 and "Aborted!" in result.output
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
-    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
-    assert summary.read_bytes() == before[summary.name]
-    assert summary.stat().st_mode & 0o777 == 0o640  # an existing summary keeps its mode
+    assert runner.invoke(main, args).exit_code == 0
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == fresh[name]
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640  # an old output keeps its mode
 
 
-def test_batch_writes_its_summary_through_a_symlink(runner, tmp_path):
-    src = _generate(runner, tmp_path, "uniform_random", n=600)
-    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
-    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
-    summary = (tmp_path / "man.summary.csv").read_bytes()
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_batch_writes_its_summary_through_a_symlink(runner, tmp_path, monkeypatch, command):
+    args, outputs, _ = _OUTPUTS[command]
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    assert runner.invoke(main, args).exit_code == 0
+    summary = (tmp_path / outputs[0]).read_bytes()
     shared = tmp_path / "shared"
     shared.mkdir()
     (shared / "summary.csv").write_text("old\n")
     link = tmp_path / "link.csv"
     link.symlink_to(Path("shared") / "summary.csv")
-    assert runner.invoke(main, ["batch", str(manifest), "--out", str(link)]).exit_code == 0
+    assert runner.invoke(main, [*args, "--out", str(link)]).exit_code == 0
     assert link.is_symlink() and os.readlink(link) == str(Path("shared") / "summary.csv")
     assert (shared / "summary.csv").read_bytes() == summary
     assert sorted(path.name for path in shared.iterdir()) == ["summary.csv"]  # no partial file
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-def test_batch_writes_its_summary_into_a_fifo(runner, tmp_path):
-    src = _generate(runner, tmp_path, "uniform_random", n=600)
-    manifest = _write_manifest(tmp_path / "man.json", [src.name], config={"num_c": 4})
-    assert runner.invoke(main, ["batch", str(manifest)]).exit_code == 0
-    summary = (tmp_path / "man.summary.csv").read_bytes()
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_batch_writes_its_summary_into_a_fifo(runner, tmp_path, monkeypatch, command):
+    args, outputs, _ = _OUTPUTS[command]
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    assert runner.invoke(main, args).exit_code == 0
+    summary = (tmp_path / outputs[0]).read_bytes()
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     os.link(fifo, tmp_path / "spare")  # a second name, to free the reader if the FIFO is lost
@@ -657,7 +686,7 @@ def test_batch_writes_its_summary_into_a_fifo(runner, tmp_path):
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
-        result = runner.invoke(main, ["batch", str(manifest), "--out", str(fifo)])
+        result = runner.invoke(main, [*args, "--out", str(fifo)])
         reader.join(timeout=10)
         assert result.exit_code == 0, result.output
         assert received == [summary]
@@ -666,6 +695,89 @@ def test_batch_writes_its_summary_into_a_fifo(runner, tmp_path):
         if reader.is_alive():
             os.close(os.open(tmp_path / "spare", os.O_WRONLY | os.O_NONBLOCK))
             reader.join(timeout=10)
+
+
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_every_command_writes_to_stdout_on_a_pipe(tmp_path, command):
+    # batch resolved /dev/stdout to /proc/<pid>/fd/pipe:[N] and exited 3
+    args, outputs, _ = _OUTPUTS[command]
+    _command_inputs(tmp_path)
+    paths = [str(tmp_path / word) if (tmp_path / word).exists() else word for word in args]
+    to_file = source_tree_python(["-m", "chaos01.cli", *paths, "--out", str(tmp_path / "o")])
+    assert to_file.returncode == 0, to_file.stderr
+    expected = (tmp_path / "o").read_text() + to_file.stdout.replace(str(tmp_path / "o"),
+                                                                     "/dev/stdout")
+    piped = source_tree_python(["-m", "chaos01.cli", *paths, "--out", "/dev/stdout"])
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, to_file.stderr, expected)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["analyze", "src.txt", "--scatter", "ro/k.csv"], id="analyze-scatter"),
+    pytest.param(["analyze", "src.txt", "--trajectory", "ro/pq.csv"], id="analyze-trajectory"),
+    pytest.param(["psd", "src.txt", "--out", "ro/p.csv"], id="psd"),
+    pytest.param(["batch", "man.json", "--out", "ro/s.csv"], id="batch"),
+    pytest.param(["generate", "--kind", "sine", "--out", "ro/g.csv"], id="generate"),
+])
+def test_output_in_a_directory_that_refuses_new_files_exits_3_before_any_work(
+        runner, tmp_path, monkeypatch, args):
+    # analyze and psd used to do their work and fail only at their write; as
+    # root no directory refuses by its mode, so open refuses files made in ro
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    Path("ro").mkdir()
+    calls = []
+    for name in ("run_test", "_run_test", "load_series", "write_series"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(c.signals, "make_series", lambda *a, **k: calls.append(a))
+    real_open = open
+
+    def refusing_open(file, mode="r", *rest, **options):
+        if os.path.dirname(os.path.abspath(file)) == str(tmp_path / "ro") and "r" not in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, mode, *rest, **options)
+
+    monkeypatch.setattr("builtins.open", refusing_open)
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, args)
+    target = args[args.index("--out") + 1] if "--out" in args else args[-1]
+    assert (result.exit_code, result.output) == (
+        3, f"error: [Errno 13] Permission denied: {target!r}\n")
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, target", [
+    *((command, target) for command in _OUTPUTS for target in ("sub/", "nodir/..", "f/")),
+    ("generate", ""),  # the others take "" as their default
+])
+def test_output_path_that_ends_in_no_file_name_exits_3_as_open_would(
+        runner, tmp_path, monkeypatch, command, target):
+    # generate wrote "sub/" as a file named sub, and "" beside the directory
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    Path("f").write_text("")
+    calls = []
+    for name in ("run_test", "_run_test", "load_series", "write_series"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(c.signals, "make_series", lambda *a, **k: calls.append(a))
+    with pytest.raises(OSError) as info:
+        open(target, "w")
+    before = sorted(tmp_path.parent.rglob("*"))
+    result = runner.invoke(main, [*_OUTPUTS[command][0], "--out", target])
+    assert (result.exit_code, result.output) == (3, f"error: {info.value}\n")
+    assert calls == [] and sorted(tmp_path.parent.rglob("*")) == before
+
+
+def test_batch_summary_naming_a_directory_names_the_given_path(runner, tmp_path, monkeypatch):
+    # the manifest's "out" was named by its resolved path
+    monkeypatch.chdir(tmp_path)
+    _command_inputs(tmp_path)
+    _write_manifest(tmp_path / "man.json", ["src.txt"], out="outdir")
+    Path("outdir").mkdir()
+    calls = []
+    monkeypatch.setattr(cli, "_run_test", lambda *args: calls.append(args))
+    result = runner.invoke(main, ["batch", "man.json"])
+    assert (result.exit_code, result.output) == (3, "error: [Errno 21] Is a directory: 'outdir'\n")
+    assert calls == [] and list(Path("outdir").iterdir()) == []
 
 
 def test_batch_summary_path_naming_an_input_exits_2(runner, tmp_path):

@@ -188,6 +188,57 @@ def _traj(p, q, angle=1.0):
     return c.TranslationTrajectory(c=angle, p=np.asarray(p, float), q=np.asarray(q, float))
 
 
+@pytest.mark.parametrize("call, error", [
+    # a broadcast ValueError, AttributeError, "too many values to unpack"
+    pytest.param(lambda: c.msd(c.TranslationTrajectory(1.0, np.ones(5), np.ones(3)), 2),
+                 "p and q must have one length, got 5 and 3", id="lengths"),
+    pytest.param(lambda: c.TranslationTrajectory(1.0, np.ones((2, 3)), np.ones((2, 3))),
+                 "p must be one-dimensional", id="p-2d"),
+    pytest.param(lambda: c.TranslationTrajectory(1.0, np.ones(3), np.ones((1, 3))),
+                 "q must be one-dimensional", id="q-2d"),
+    pytest.param(lambda: c.TranslationTrajectory(1.0, [], []), "p must be non-empty",
+                 id="empty-path"),
+    # a NaN curve without a word
+    pytest.param(lambda: c.TranslationTrajectory(1.0, [0.0, math.nan, 1.0], np.ones(3)),
+                 "p must be finite", id="nan-p"),
+    pytest.param(lambda: c.TranslationTrajectory(1.0, np.ones(3), [0.0, 1.0, math.inf]),
+                 "q must be finite", id="inf-q"),
+    pytest.param(lambda: c.TranslationTrajectory("1.0", np.ones(3), np.ones(3)),
+                 "c must be a real number, got '1.0'", id="path-c-text"),
+    pytest.param(lambda: c.TranslationTrajectory(True, np.ones(3), np.ones(3)),
+                 "c must be a real number, got True", id="path-c-bool"),
+    # "zero-size array to reduction operation maximum"
+    pytest.param(lambda: c.growth_rate_correlation(c.MsdCurve(1.0, np.array([]))),
+                 "values must be non-empty", id="empty-curve"),
+    pytest.param(lambda: c.growth_rate_regression(c.MsdCurve(1.0, np.ones((2, 3)))),
+                 "values must be one-dimensional", id="curve-2d"),
+    pytest.param(lambda: c.MsdCurve(None, np.ones(3)), "c must be a real number, got None",
+                 id="curve-c-none"),
+])
+def test_trajectory_and_curve_refuse_what_they_cannot_hold(call, error):
+    with pytest.raises(c.InvalidParameterError) as info:
+        call()
+    assert str(info.value) == error
+
+
+def test_trajectory_and_curve_hold_float_arrays():
+    traj = c.TranslationTrajectory(np.float64(1.0), [0.0, 1.0, 3.0], (0, 2, 2))
+    assert traj.p.dtype == traj.q.dtype == np.float64 and len(traj) == 3
+    p = np.arange(4.0)
+    assert c.TranslationTrajectory(1.0, p, p).p is p  # a float64 array is stored as given
+    assert np.array_equal(c.msd(traj, 2).values, c.msd(_traj(traj.p, traj.q), 2).values)
+    curve = c.MsdCurve(1, [1, 2, 4])
+    assert curve.values.dtype == np.float64 and curve.n_max == 3
+    # a curve that is not finite is kept, for the estimators to judge: the
+    # regression skips a NaN, as it skips a value with no logarithm
+    for values in ([1.0, math.nan, 3.0], [1.0, math.inf, 3.0]):
+        curve = c.MsdCurve(1.0, values)
+        assert np.array_equal(curve.values, values, equal_nan=True)
+        assert c.growth_rate_correlation(curve).degenerate
+    assert c.growth_rate_regression(c.MsdCurve(1.0, [1.0, math.inf, 3.0])).degenerate
+    assert c.growth_rate_regression(c.MsdCurve(1.0, [1.0, math.nan, 3.0])).k == 1.0
+
+
 def test_msd_worked_example():
     # displacements by hand: lag 1 gives (4 + 9)/3, lag 2 gives (4 + 9)/3
     curve = c.msd(_traj([0.0, -2.0, -2.0], [1.0, 1.0, -2.0]), 2)
@@ -799,6 +850,23 @@ def test_oscillation_correction_closed_form():
     n = np.arange(1, 6)
     expected = 4.0 * (1.0 - np.cos(n * 1.2)) / (1.0 - math.cos(1.2))
     assert np.allclose(vals, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("angle, n0, error", [
+    # [nan nan nan] with a RuntimeWarning, a raw TypeError, an empty array
+    pytest.param(0.0, 3, "c must lie strictly inside (0, 2*pi)", id="zero-angle"),
+    pytest.param(c.TWO_PI, 3, "c must lie strictly inside (0, 2*pi)", id="two-pi"),
+    pytest.param(math.nan, 3, "c must lie strictly inside (0, 2*pi)", id="nan-angle"),
+    pytest.param(np.array([1.0, 7.0]), 3, "c must lie strictly inside (0, 2*pi)",
+                 id="one-array-entry"),
+    pytest.param(1.0, "3", "n0 must be an integer of at least 1, got '3'", id="n0-text"),
+    pytest.param(1.0, 0, "n0 must be an integer of at least 1, got 0", id="n0-zero"),
+    pytest.param(1.0, 2.0, "n0 must be an integer of at least 1, got 2.0", id="n0-float"),
+])
+def test_oscillation_correction_refuses_what_the_config_refuses(angle, n0, error):
+    with pytest.raises(c.InvalidParameterError) as info:
+        c.oscillation_correction(angle, n0, 1.0)
+    assert str(info.value) == error
 
 
 def test_result_k_m_matches_recomputed_aggregate():

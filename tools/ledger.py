@@ -258,6 +258,8 @@ CASES: dict[str, list[list[str]]] = {
         _manifest("sub/man.json", {"inputs": ["../sine.csv", "../half.csv"],
                                    "config": {"num_c": 10}}),
         ["cli", "batch", "sub/man.json", "--window", "800"],
+        # the summary written into the ledger's pipe
+        ["cli", "batch", "plain.json", "--out", "/dev/stdout"],
     ],
     "reader": [
         ["py", "import chaos01 as c; s = c.gen_sine(50.0, 1000.0, 1200); "
@@ -322,6 +324,10 @@ CASES: dict[str, list[list[str]]] = {
         ["cli", "analyze", "a.csv", "--scatter", "nodir/k.csv"],
         _manifest("few.json", {"inputs": ["a.csv"], "config": {"num_c": 4}}),
         ["cli", "batch", "few.json", "--out", "nodir/s.csv"],
+        # a manifest "out" that names a directory
+        ["py", "import os; os.mkdir('outdir')"],
+        _manifest("dir.json", {"inputs": ["a.csv"], "out": "outdir"}),
+        ["cli", "batch", "dir.json"],
     ],
 }
 
