@@ -624,6 +624,16 @@ def _command_inputs(tmp_path):
     _write_manifest(tmp_path / "man.json", ["src.txt"], config={"num_c": 4})
 
 
+def _record_work(monkeypatch):
+    """Make the calls that start each command's work record themselves in the
+    list returned, and do nothing else."""
+    calls = []
+    for name in ("run_test", "_run_test", "load_series", "write_series"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(c.signals, "make_series", lambda *a, **k: calls.append(a))
+    return calls
+
+
 @pytest.mark.parametrize("command", list(_OUTPUTS))
 def test_batch_replaces_its_summary_only_when_done(runner, tmp_path, monkeypatch, command):
     # analyze used to leave the new result beside the old scatter
@@ -725,10 +735,7 @@ def test_output_in_a_directory_that_refuses_new_files_exits_3_before_any_work(
     monkeypatch.chdir(tmp_path)
     _command_inputs(tmp_path)
     Path("ro").mkdir()
-    calls = []
-    for name in ("run_test", "_run_test", "load_series", "write_series"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(c.signals, "make_series", lambda *a, **k: calls.append(a))
+    calls = _record_work(monkeypatch)
     real_open = open
 
     def refusing_open(file, mode="r", *rest, **options):
@@ -755,10 +762,7 @@ def test_output_path_that_ends_in_no_file_name_exits_3_as_open_would(
     monkeypatch.chdir(tmp_path)
     _command_inputs(tmp_path)
     Path("f").write_text("")
-    calls = []
-    for name in ("run_test", "_run_test", "load_series", "write_series"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(c.signals, "make_series", lambda *a, **k: calls.append(a))
+    calls = _record_work(monkeypatch)
     with pytest.raises(OSError) as info:
         open(target, "w")
     before = sorted(tmp_path.parent.rglob("*"))
