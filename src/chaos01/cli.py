@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import shutil
+import stat
 import typing
 from pathlib import Path
 
@@ -69,16 +70,7 @@ _TRIMMED = "trimmed"  # the one name the CLI adds: an alias of Aggregator.TRIMME
 
 class _Main(click.Group):
     """Ends any command, or chaos01 itself, that raises a package or usage
-    error with one ``error:`` line, and builds ``generate`` when it is first
-    looked up."""
-
-    def list_commands(self, ctx):
-        return sorted({*self.commands, "generate"})
-
-    def get_command(self, ctx, name):
-        if name == "generate" and name not in self.commands:
-            self.add_command(_generate())
-        return super().get_command(ctx, name)
+    error with one ``error:`` line."""
 
     def parse_args(self, ctx, args):
         try:
@@ -136,18 +128,6 @@ def _check_keys(mapping, names, required, what: str) -> None:
             raise InvalidParameterError(f"{what}: {problem} keys {keys}")
 
 
-def _check_targets(inputs, targets) -> None:
-    """Raise unless each output path names a file apart from every input and
-    every other output, so that no command overwrites what it reads or writes."""
-    taken = {Path(path).resolve() for path in inputs}
-    for target in targets:
-        path = Path(target).resolve()
-        if path in taken:
-            raise InvalidParameterError(
-                f"output path {str(target)!r} is also an input or another output")
-        taken.add(path)
-
-
 @contextlib.contextmanager
 def _replacing(path):
     """The path of a new, empty file beside the file ``path`` names, through
@@ -183,41 +163,84 @@ def _replacing(path):
         raise
 
 
+def _writes_to(fd: int, path) -> bool:
+    """Whether the descriptor ``fd`` writes to the regular file ``path`` names:
+    under ``> file``, replacing that file would lose what is printed later."""
+    try:
+        stream = os.fstat(fd)
+        return stat.S_ISREG(stream.st_mode) and os.path.samestat(stream, os.stat(path))
+    except OSError:  # a closed descriptor, or no file at path
+        return False
+
+
+@contextlib.contextmanager
+def _outputs(inputs, *targets):
+    """The paths to write ``targets`` to, one ``_replacing`` each, and None
+    for a target that is None.  Raises InvalidParameterError, before any file
+    is made, unless each target names a file apart from every input, every
+    other target and the regular file that standard output or error writes
+    to, so that no command overwrites what it reads, writes or prints."""
+    taken = {Path(path).resolve() for path in inputs}
+    for target in targets:
+        if target is None:
+            continue
+        path = Path(target).resolve()
+        if path in taken:
+            raise InvalidParameterError(
+                f"output path {str(target)!r} is also an input or another output")
+        for fd, stream in ((1, "standard output"), (2, "standard error")):
+            if _writes_to(fd, target):
+                raise InvalidParameterError(f"output path {str(target)!r} is also {stream}")
+        taken.add(path)
+    with contextlib.ExitStack() as stack:
+        yield [None if t is None else stack.enter_context(_replacing(t)) for t in targets]
+
+
 @click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Detect chaos in scalar time series with a 0-1 style growth-rate test."""
 
 
-def _generate() -> click.Command:
-    """The ``generate`` command, whose choices and defaults come from ``signals``."""
+class _Generate(click.Command):
+    """A command whose options take their choices and defaults from
+    ``signals``, built the first time click parses or formats them: the
+    group's help needs only the docstring, so it does not load ``signals``."""
+
+    def get_params(self, ctx):
+        if not self.params:  # once: click matches the options by identity
+            from . import signals
+
+            self.params = [
+                click.Option(["--kind"], required=True,
+                             type=click.Choice([k.value for k in signals.GeneratorKind]),
+                             help="Which reference signal to produce."),
+                click.Option(["--f", "freq"], type=float, default=signals.GeneratorSpec.freq,
+                             show_default=True, help="Tone frequency in Hz (sine and sawtooth)."),
+                click.Option(["--fs", "sample_rate"], type=float, default=None,
+                             help=f"Sample rate in Hz [default: {signals._DEFAULT_RATE:g} "
+                                  "for time-based kinds]."),
+                click.Option(["--n", "num_samples"], type=int,
+                             default=signals.GeneratorSpec.num_samples, show_default=True,
+                             help="Number of samples."),
+                click.Option(["--seed"], type=int, default=signals.GeneratorSpec.seed,
+                             show_default=True, help="Seed for uniform_random."),
+                click.Option(["--out"], required=True, type=click.Path(dir_okay=False),
+                             help="Output path (single_column format)."),
+            ]
+        return super().get_params(ctx)
+
+
+@main.command(cls=_Generate)
+def generate(out, **fields):
+    """Write one reference signal to a file."""
     from . import signals
 
-    @click.command()
-    @click.option("--kind", required=True,
-                  type=click.Choice([k.value for k in signals.GeneratorKind]),
-                  help="Which reference signal to produce.")
-    @click.option("--f", "freq", type=float, default=signals.GeneratorSpec.freq,
-                  show_default=True, help="Tone frequency in Hz (sine and sawtooth).")
-    @click.option("--fs", "sample_rate", type=float, default=None,
-                  help=f"Sample rate in Hz [default: {signals._DEFAULT_RATE:g} "
-                       "for time-based kinds].")
-    @click.option("--n", "num_samples", type=int, default=signals.GeneratorSpec.num_samples,
-                  show_default=True, help="Number of samples.")
-    @click.option("--seed", type=int, default=signals.GeneratorSpec.seed, show_default=True,
-                  help="Seed for uniform_random.")
-    @click.option("--out", required=True, type=click.Path(dir_okay=False),
-                  help="Output path (single_column format).")
-    def generate(out, **fields):
-        """Write one reference signal to a file."""
-        spec = signals.GeneratorSpec(**fields)
-        with _replacing(out) as partial:
-            series = signals.make_series(spec)
-            write_series(series, partial)
-        click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} "
-                   f"{signals._describe(spec)}")
-
-    return generate
+    spec = signals.GeneratorSpec(**fields)
+    with _outputs([], out) as (partial,):
+        series = signals.make_series(spec)
+        write_series(series, partial)
+    click.echo(f"wrote {out}: kind={spec.kind.value} N={len(series)} {signals._describe(spec)}")
 
 
 @main.command()
@@ -251,10 +274,7 @@ def analyze(input, fmt, out, scatter, trajectory, trajectory_c, **options):
         _check_angle("--trajectory-c", trajectory_c)
     base = Path(input).with_suffix("")
     out, scatter = out or f"{base}.result.json", scatter or f"{base}.kc.csv"
-    _check_targets([input], [path for path in (out, scatter, trajectory) if path is not None])
-    with contextlib.ExitStack() as outputs:
-        out, scatter, trajectory = [path and outputs.enter_context(_replacing(path))
-                                    for path in (out, scatter, trajectory)]
+    with _outputs([input], out, scatter, trajectory) as (out, scatter, trajectory):
         series = load_series(SeriesFile(path=input, format=fmt))
         result = run_test(series, config)
         export_result(result, out)
@@ -277,8 +297,7 @@ def psd_command(input, fmt, out):
     from .spectral import psd
 
     target = out or f"{Path(input).with_suffix('')}.psd.csv"
-    _check_targets([input], [target])
-    with _replacing(target) as partial:
+    with _outputs([input], target) as (partial,):
         series = load_series(SeriesFile(path=input, format=fmt))
         estimate = psd(series)
         export_psd(estimate, partial)
@@ -357,8 +376,7 @@ def batch(manifest, out, window, stride, jobs):
 
     target = out or (base / doc["out"] if "out" in doc
                      else f"{manifest_path.with_suffix('')}.summary.csv")
-    _check_targets([manifest_path, *(base / name for name in names)], [target])
-    with _replacing(target) as partial:
+    with _outputs([manifest_path, *map(base.joinpath, names)], target) as (partial,):
         # file threads times each run_test's threads stay within the CPUs:
         # more only contend
         available = usable_cpus()

@@ -587,7 +587,8 @@ def growth_rate_regression(curve: MsdCurve) -> GrowthRate:
     """Slope of ``log M(n)`` against ``log n``.
 
     Non-positive values of ``M`` have no logarithm and are skipped; when
-    fewer than two usable points remain the result is degenerate.
+    fewer than two usable points remain, or any value is not finite, the
+    result is degenerate.
     """
     return _growth_rates([_in_range(curve.values)], [curve.c], Method.REGRESSION)[0]
 
@@ -615,7 +616,8 @@ def _growth_rates(values: np.ndarray, angles, method: Method) -> list[GrowthRate
             dx = x - (weight * x).sum(axis=1, keepdims=True) / weight.sum(axis=1, keepdims=True)
             y = np.log(np.where(weight > 0.0, values, 1.0))
             k = (weight * dx * y).sum(axis=1) / (weight * dx * dx).sum(axis=1)
-            degenerate |= weight.sum(axis=1) < 2
+            # a value that is not finite is no point on the curve, not one to skip
+            degenerate |= (weight.sum(axis=1) < 2) | ~np.isfinite(values).all(axis=1)
         else:
             dx = n - n.mean()
             dy = values - values.mean(axis=1, keepdims=True)

@@ -721,6 +721,36 @@ def test_every_command_writes_to_stdout_on_a_pipe(tmp_path, command):
     assert (piped.returncode, piped.stderr, piped.stdout) == (0, to_file.stderr, expected)
 
 
+@pytest.mark.parametrize("command, stream, target", [
+    *((command, "stdout", target) for command in _OUTPUTS
+      for target in ("/dev/stdout", "red.txt")),
+    ("psd", "stderr", "/dev/stderr"),
+    ("analyze", "stderr", "red.txt"),
+])
+def test_output_that_is_the_file_a_standard_stream_writes_to_exits_2_before_any_work(
+        tmp_path, command, stream, target):
+    # under `> red.txt` the output was renamed over red.txt, and what was
+    # printed after it went to the old, unlinked file; src.txt is missing, so
+    # a command that read it would exit 3 (batch 4)
+    args, _, _ = _OUTPUTS[command]
+    _command_inputs(tmp_path)
+    (tmp_path / "src.txt").unlink()
+    before = sorted(tmp_path.iterdir())
+    paths = [str(tmp_path / word) if word in ("src.txt", "man.json") else word for word in args]
+    target = str(tmp_path / target) if target == "red.txt" else target
+    run = (f"import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-m', "
+           f"'chaos01.cli', *{paths!r}, '--out', {target!r}], "
+           f"{stream}=open({str(tmp_path / 'red.txt')!r}, 'w')).returncode)")
+    proc = source_tree_python(["-c", run])
+    name = {"stdout": "standard output", "stderr": "standard error"}[stream]
+    message = f"error: output path {target!r} is also {name}\n"
+    # red.txt holds what was printed to it, the error line only if it is stderr
+    expected = ("", message) if stream == "stdout" else (message, "")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert ((tmp_path / "red.txt").read_text(), proc.stderr) == expected
+    assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "red.txt"])
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["analyze", "src.txt", "--scatter", "ro/k.csv"], id="analyze-scatter"),
     pytest.param(["analyze", "src.txt", "--trajectory", "ro/pq.csv"], id="analyze-trajectory"),
@@ -1267,6 +1297,13 @@ def test_help_documents_flags(runner):
     result = runner.invoke(main, ["generate", "--help"])
     for flag in ("--kind", "--f", "--fs", "--n", "--seed", "--out"):
         assert flag in result.output
+    # the choices and defaults still come from signals, which builds the options
+    text = " ".join(result.output.split())
+    assert f"--kind [{'|'.join(kind.value for kind in c.GeneratorKind)}]" in text
+    spec = c.GeneratorSpec
+    for flag, default in (("--f FLOAT", spec.freq), ("--n INTEGER", spec.num_samples),
+                          ("--seed INTEGER", spec.seed)):
+        assert f"[default: {default}]" in text.split(flag, 1)[1].split(" --", 1)[0]
     result = runner.invoke(main, ["batch", "--help"])
     for flag in ("--window", "--stride", "--jobs"):
         assert flag in result.output
@@ -1331,7 +1368,7 @@ _UNUSED_BY_BATCH = ("chaos01.signals", "chaos01.spectral", "chaos01._decimal",
     (["analyze", "{tmp}/s.txt"], ("chaos01.signals", "chaos01.spectral", "concurrent.futures")),
     (["psd", "{tmp}/s.txt"], ("chaos01.signals", "concurrent.futures")),
     (["generate", "--kind", "sine", "--n", "1200", "--out", "{tmp}/g.txt"], ()),
-    (["--help"], ()),
+    (["--help"], ("chaos01.signals", "chaos01.spectral", "chaos01._decimal")),
 ], ids=["batch", "analyze", "psd", "generate", "help"])
 def test_each_command_loads_only_what_it_runs(tmp_path, args, unused):
     # every request is a fresh process that pays for each module it imports

@@ -229,14 +229,14 @@ def test_trajectory_and_curve_hold_float_arrays():
     assert np.array_equal(c.msd(traj, 2).values, c.msd(_traj(traj.p, traj.q), 2).values)
     curve = c.MsdCurve(1, [1, 2, 4])
     assert curve.values.dtype == np.float64 and curve.n_max == 3
-    # a curve that is not finite is kept, for the estimators to judge: the
-    # regression skips a NaN, as it skips a value with no logarithm
-    for values in ([1.0, math.nan, 3.0], [1.0, math.inf, 3.0]):
+    # a curve that is not finite is kept, for the estimators to judge: both
+    # find no rate in it (the regression skipped a NaN or -inf and gave k = 1)
+    for values in ([1.0, math.nan, 3.0], [1.0, math.inf, 3.0], [1.0, -math.inf, 3.0]):
         curve = c.MsdCurve(1.0, values)
         assert np.array_equal(curve.values, values, equal_nan=True)
-        assert c.growth_rate_correlation(curve).degenerate
-    assert c.growth_rate_regression(c.MsdCurve(1.0, [1.0, math.inf, 3.0])).degenerate
-    assert c.growth_rate_regression(c.MsdCurve(1.0, [1.0, math.nan, 3.0])).k == 1.0
+        for estimate in (c.growth_rate_correlation, c.growth_rate_regression):
+            rate = estimate(curve)
+            assert (rate.degenerate, rate.k) == (True, 0.0)
 
 
 def test_msd_worked_example():

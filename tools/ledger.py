@@ -10,13 +10,14 @@ A parent commit's tree can be unpacked without a worktree or network:
 Each case below runs its steps in order in a new, empty directory, once per
 tree.  Every step is a fresh ``python`` process that imports chaos01 from
 that tree's ``src``: a CLI command, a CLI command that reads a file on its
-standard input (as the file itself, or through a pipe), or a short library
-call that writes an input file the CLI cannot write or prints K values.  Paths are relative to
-the case directory, so printed lines and summary rows do not depend on
-where it is; a path into the tree itself, such as the module a Python
-warning names, is printed as ``<tree>``.  For each step the ledger records
-the exit code and the sha256 of stdout, of stderr and of every file the
-step wrote or rewrote.
+standard input (as the file itself, or through a pipe) or writes its
+standard output to a file, or a short library call that writes an input
+file the CLI cannot write, prints K values or prints the modules a command
+loads.  Paths are relative to the case directory, so printed lines and
+summary rows do not depend on where it is; a path into the tree itself,
+such as the module a Python warning names, is printed as ``<tree>``.  For
+each step the ledger records the exit code and the sha256 of stdout, of
+stderr and of every file the step wrote or rewrote.
 
 The JSON written to ``--out`` lists every step with both trees' records and,
 for a step that differs, the last line of each tree's stderr.  A differing
@@ -300,7 +301,11 @@ CASES: dict[str, list[list[str]]] = {
                    "--trajectory-c", "0.001"]],
     "kvalues": [["kv", _KVALUES, order] for order in ("up", "down")],
     "help": [["cli", *words, "--help"] for words in
-             ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]],
+             ([], ["generate"], ["analyze"], ["psd"], ["batch"])] + [["cli", "--version"]] + [
+        # the package's modules that chaos01's own help loads
+        ["py", "import sys\nfrom chaos01.cli import main\ntry:\n    main(['--help'])\n"
+               "except SystemExit:\n    print(sorted(name for name in sys.modules "
+               "if name.startswith('chaos01.')))"]],
     "errors": [
         ["cli", "generate", "--kind", "sine", "--f", "3000", "--out", "x.csv"],
         ["cli", "generate", "--kind", "sawtooth", "--f", "2500", "--out", "x.csv"],
@@ -328,6 +333,11 @@ CASES: dict[str, list[list[str]]] = {
         ["py", "import os; os.mkdir('outdir')"],
         _manifest("dir.json", {"inputs": ["a.csv"], "out": "outdir"}),
         ["cli", "batch", "dir.json"],
+        # an output that is the file standard output is redirected to
+        ["py", "import subprocess, sys, chaos01 as c; "
+               "c.write_series(c.gen_sine(50.0, 1000.0, 600), 'tone.txt'); "
+               "sys.exit(subprocess.run([sys.executable, '-m', 'chaos01.cli', 'psd', 'tone.txt', "
+               "'--out', '/dev/stdout'], stdout=open('red.txt', 'w')).returncode)"],
     ],
 }
 
