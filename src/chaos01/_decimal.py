@@ -11,11 +11,12 @@ Its 128-bit products are formed from 32-bit pieces in uint64 arithmetic.
 The layout is ``repr``'s.  With the value written 0.D x 10**p, where D is
 the digit string: ``0.000DDD``, ``DD.DDD`` or ``DDD000.0`` for -4 < p <= 16,
 else ``D.DDDe-XX`` (no point for one digit, at least two exponent digits);
-``nan``, ``inf``, ``-inf``, ``0.0`` and ``-0.0`` as they are; an integer
-column as its digits.  Each value's characters are gathered from a row of
-source bytes (its digits, its exponent's digits and the constant
-characters) by a template that depends only on its sign, form, ``p`` and
-digit count; the templates a call meets are built once for that call.
+``0.0`` and ``-0.0`` as they are.  Each finite value's characters are
+gathered from a row of source bytes (its digits, its exponent's digits and
+the constant characters) by a template that depends only on its sign, form,
+``p`` and digit count; the templates a call meets are built once for that
+call.  ``nan``, ``inf`` and ``-inf``, and every value of an integer column,
+take numpy's own text (``astype``), which is ``repr``'s.
 """
 
 from __future__ import annotations
@@ -126,27 +127,27 @@ _POW10 = _U(10) ** np.arange(20, dtype=np.uint64)
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
 _DIGIT_WEIGHTS = (2.0 ** np.arange(17)).astype(np.float32)
 
-# A value's source row: a 0 and its significand's 19 digits (the digits, then
+# A finite value's source row: a 0 and its significand's 19 digits (the digits, then
 # zeros), a 0 and its exponent's three digits, then the constant characters.
 # _DIGIT is the first digit's position and _EXPONENT the exponent's first.
 _DIGIT, _EXPONENT = 1, 21
-_CONSTANTS = b"-0.e+naif\0"
-_MINUS, _ZERO, _POINT, _E, _PLUS, _N, _A, _I, _F, _PAD = range(24, 34)
-_SOURCE = 34  # even, so that a row holds whole uint16 digit pairs
+_CONSTANTS = b"-0.e+\0"
+_MINUS, _ZERO, _POINT, _E, _PLUS, _PAD = range(24, 30)
+_SOURCE = 30  # even, so that a row holds whole uint16 digit pairs
 
 #: The longest text of one value, "-2.2250738585072014e-308".
 _WIDTH = 24
 
-#: A value's form.  Its template's key is
+#: A finite value's form.  Its template's key is
 #: ((negative * _FORMS + form) * 20 + shape) * 20 + digits, where shape is
-#: p + 3 for a positional or integer value and 1 for a three-digit exponent.
-_POSITIONAL, _EXP_PLUS, _EXP_MINUS, _INTEGER, _NAN, _INF = range(6)
-_FORMS = 6
+#: p + 3 for a positional value and 1 for a three-digit exponent.
+_POSITIONAL, _EXP_PLUS, _EXP_MINUS = range(3)
+_FORMS = 3
 _KEYS = 2 * _FORMS * 20 * 20
 
 
 def _template(key: int) -> list[int]:
-    """The source-row positions of one value's characters, padded to ``_WIDTH``."""
+    """The source-row positions of one finite value's characters, padded to ``_WIDTH``."""
     rest, count = divmod(key, 20)
     rest, shape = divmod(rest, 20)
     negative, form = divmod(rest, _FORMS)
@@ -159,14 +160,10 @@ def _template(key: int) -> list[int]:
         text += digits[:p] + [_POINT] + digits[p:]
     elif form == _POSITIONAL:
         text += digits + [_ZERO] * (p - count) + [_POINT, _ZERO]
-    elif form == _INTEGER:
-        text += digits + [_ZERO] * (p - count)
-    elif form in (_EXP_PLUS, _EXP_MINUS):
+    else:
         text += digits[:1] + ([_POINT] + digits[1:] if count > 1 else [])
         text += [_E, _PLUS if form == _EXP_PLUS else _MINUS]
         text += range(_EXPONENT + 1 - shape, _EXPONENT + 3)
-    else:
-        text += [_N, _A, _N] if form == _NAN else [_I, _N, _F]
     return text + [_PAD] * (_WIDTH - len(text))
 
 
@@ -177,14 +174,22 @@ def _put_quads(pairs: np.ndarray, at: int, values: np.ndarray) -> None:
     pairs[..., at + 1] = _PAIRS.take(values - hundreds * np.uint32(100))
 
 
-def _render(values: np.ndarray, integral: bool, templates: tuple) -> np.ndarray:
+def _numpy_text(values: np.ndarray) -> np.ndarray:
+    """numpy's own text of each value, as a (values, ``_WIDTH``) array of ASCII
+    bytes padded with NUL."""
+    return values.astype(f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+
+
+def _render(values: np.ndarray, templates: tuple) -> np.ndarray:
     """The text of each float64 value, as a (values, ``_WIDTH``) array of ASCII
-    bytes padded with NUL; ``integral`` prints them as integers, and
-    ``templates`` holds the templates built so far."""
+    bytes padded with NUL; ``templates`` holds the templates built so far.  A
+    finite value is gathered by its template, and then each nan or inf row is
+    overwritten with numpy's text."""
     bits = values.view(np.uint64)
     negative = (bits >> _U(63)).astype(np.int64)
     f, e = _shortest(bits)
-    special = ~np.isfinite(values) | (values == 0)
+    nonfinite = ~np.isfinite(values)
+    special = nonfinite | (values == 0)
     f[special] = 0  # 0.0, nan and inf: the digit 0 at p = 1
     e[special] = 0
     length = np.maximum(np.searchsorted(_POW10, f, "right"), 1)
@@ -210,15 +215,8 @@ def _render(values: np.ndarray, integral: bool, templates: tuple) -> np.ndarray:
     count = np.frexp((source[:, _DIGIT:_DIGIT + 17] != ord("0")).astype(np.float32)
                      @ _DIGIT_WEIGHTS)[1]
     count[special] = 1
-    if integral:
-        form, positional = np.full(len(values), _INTEGER), True
-    else:
-        positional = (p > -4) & (p <= 16)
-        form = np.where(positional, _POSITIONAL, np.where(p > 0, _EXP_PLUS, _EXP_MINUS))
-        form[np.isinf(values)] = _INF
-        nan = np.isnan(values)
-        form[nan] = _NAN
-        negative[nan] = 0  # repr prints every nan as nan
+    positional = (p > -4) & (p <= 16)
+    form = np.where(positional, _POSITIONAL, np.where(p > 0, _EXP_PLUS, _EXP_MINUS))
     shape = np.where(positional, p + 3, exponent >= 100)
     key = ((negative * _FORMS + form) * 20 + shape) * 20 + count
     index, built = templates
@@ -227,13 +225,15 @@ def _render(values: np.ndarray, integral: bool, templates: tuple) -> np.ndarray:
         built[new] = True
     gather = index[key]
     gather += np.arange(0, key.size * _SOURCE, _SOURCE)[:, None]
-    return source.reshape(-1).take(gather)
+    text = source.reshape(-1).take(gather)
+    text[nonfinite] = _numpy_text(values[nonfinite])
+    return text
 
 
 def csv_rows(columns: Sequence[np.ndarray], rows: int) -> Iterator[str]:
     """The CSV text of ``columns`` side by side, one line per row, ``rows`` lines
-    at a time.  A float column prints each value as ``repr`` does; an integer
-    column prints integers, which must be below 2**53 in magnitude."""
+    at a time.  Each value is printed as ``repr`` prints it: a float column's
+    finite values by ``_render`` and an integer column's by numpy's own text."""
     templates = (np.empty((_KEYS, _WIDTH), np.intp), np.zeros(_KEYS, bool))
     for start in range(0, len(columns[0]), rows):
         block = [column[start:start + rows] for column in columns]
@@ -241,9 +241,6 @@ def csv_rows(columns: Sequence[np.ndarray], rows: int) -> Iterator[str]:
         text[:, :, _WIDTH] = ord(",")
         text[:, -1, _WIDTH] = ord("\n")
         for j, values in enumerate(block):
-            integral = values.dtype.kind in "iu"
-            values = values.astype(np.float64)
-            if integral and not (np.abs(values) < 2**53).all():
-                raise ValueError("an integer column holds a value of 2**53 or more")
-            text[:, j, :_WIDTH] = _render(values, integral, templates)
+            text[:, j, :_WIDTH] = (_numpy_text(values) if values.dtype.kind in "iu"
+                                   else _render(values.astype(np.float64), templates))
         yield text.tobytes().translate(None, b"\0").decode("ascii")

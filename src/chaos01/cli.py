@@ -46,7 +46,7 @@ from .core import (
     translation_variables,
     usable_cpus,
 )
-from .errors import Chaos01Error, DivergenceError, InvalidParameterError
+from .errors import Chaos01Error, InvalidParameterError
 from .seriesio import (
     SeriesFile,
     SeriesFormat,
@@ -85,7 +85,7 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:  # a bad flag, value or argument of a command
             error, code = exc.format_message(), EXIT_USAGE
-        except (InvalidParameterError, DivergenceError, MemoryError) as exc:
+        except (InvalidParameterError, MemoryError) as exc:
             error, code = exc, EXIT_USAGE
         except Chaos01Error as exc:  # the file's content cannot be analyzed
             error, code = exc, EXIT_DATA

@@ -98,7 +98,8 @@ class TimeSeries:
         a float64 array is not copied, so writes the caller makes to it
         later show through.
     sample_rate : float, optional
-        Samples per second.  Optional because the test itself is
+        Samples per second, any real number that a float holds, stored as
+        that float.  Optional because the test itself is
         parameterization-free; spectral tools require it.
     label : str
         Free-form name carried through analysis and serialization.
@@ -110,7 +111,7 @@ class TimeSeries:
 
     def __post_init__(self):
         samples = _check_array("samples", self.samples)
-        _check_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
         # Freeze a view, not the caller's own array, and copy nothing.
         samples = samples.view()
         samples.setflags(write=False)
@@ -135,11 +136,7 @@ class TranslationTrajectory:
 
     def __post_init__(self):
         _check_real("c", self.c)
-        p, q = _check_array("p", self.p), _check_array("q", self.q)
-        if p.size != q.size:
-            raise InvalidParameterError(f"p and q must have one length, got {p.size} and {q.size}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _check_pair(self, "p", "q")
 
     def __len__(self) -> int:
         return self.p.size
@@ -278,6 +275,17 @@ def _check_array(name: str, value, finite: bool = True) -> np.ndarray:
     return array
 
 
+def _check_pair(holder, first: str, second: str) -> None:
+    """The rule of two arrays a type holds side by side: each as ``_check_array``
+    gives it, both of one length, stored on the frozen ``holder``."""
+    a, b = (_check_array(name, getattr(holder, name)) for name in (first, second))
+    if a.size != b.size:
+        raise InvalidParameterError(
+            f"{first} and {second} must have one length, got {a.size} and {b.size}")
+    object.__setattr__(holder, first, a)
+    object.__setattr__(holder, second, b)
+
+
 def _check_angle(name: str, value) -> None:
     """The one probe-angle rule: strictly inside (0, 2*pi), for a number or
     for each entry of an array."""
@@ -313,12 +321,19 @@ def _check_bands(bands) -> None:
         raise InvalidParameterError(f"bands must be ClassificationBands, got {bands!r}")
 
 
-def _check_rate(rate) -> None:
-    """The one sample-rate rule: None, or a finite and positive real number."""
-    if rate is not None:
-        _check_real("sample_rate", rate)
-        if not 0 < rate < math.inf:
-            raise InvalidParameterError(f"sample_rate must be finite and positive, got {rate!r}")
+def _check_rate(rate) -> float | None:
+    """The one sample-rate rule: None, or a real number that a float holds as a
+    finite and positive value, returned as that float."""
+    if rate is None:
+        return None
+    _check_real("sample_rate", rate)
+    try:
+        value = float(rate)
+    except OverflowError:  # an int or Fraction beyond the float range
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"sample_rate must be finite and positive, got {rate!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ class PathOverflowError(Chaos01Error):
     """
 
 
-class DivergenceError(Chaos01Error):
-    """A map iteration left the basin of attraction and blew up."""
+class DivergenceError(InvalidParameterError):
+    """A map iteration left the basin of attraction and blew up: the map's
+    coefficients or starting point are outside the domain it can be run on."""
 
 
 class SeriesFormatError(Chaos01Error):

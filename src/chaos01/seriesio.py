@@ -72,7 +72,7 @@ class SeriesFile:
 
     ``sample_rate`` supplies a rate for single_column files that lack the
     comment header; time_value_csv files always infer theirs from the
-    timestamp spacing.
+    timestamp spacing.  A rate is stored as a float.
     """
 
     path: str | Path
@@ -81,7 +81,7 @@ class SeriesFile:
 
     def __post_init__(self):
         object.__setattr__(self, "format", _check_name(SeriesFormat, self.format, "format"))
-        _check_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,15 @@ def export_result(result: TestResult, path: str | Path) -> None:
         "config": dataclasses.asdict(config),
         "version": __version__,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, default=_json_number) + "\n")
+
+
+def _json_number(value):
+    """A numpy number, which a config may hold, as the Python number it holds;
+    ``json.dumps`` calls this for each value it cannot write."""
+    if isinstance(value, np.number):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def export_trajectory(traj: TranslationTrajectory, path: str | Path) -> None:

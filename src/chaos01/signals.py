@@ -77,9 +77,8 @@ class GeneratorSpec:
         _check_count("seed", self.seed, 0)
         for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
             _check_real(name, getattr(self, name))
-        if self.sample_rate is None:
-            object.__setattr__(self, "sample_rate", _KINDS[self.kind][1])
-        _check_rate(self.sample_rate)
+        rate = _KINDS[self.kind][1] if self.sample_rate is None else self.sample_rate
+        object.__setattr__(self, "sample_rate", _check_rate(rate))
 
 
 #: Per kind, the spec fields that name its samples, as ``generate`` prints

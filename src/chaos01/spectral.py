@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, _in_range
+from .core import TimeSeries, _check_pair, _in_range
 from .errors import MissingSampleRateError, SeriesTooShortError
 
 MIN_PSD_SAMPLES = 8
@@ -23,11 +23,16 @@ class PsdEstimate:
 
     ``frequencies`` run from 0 to the Nyquist frequency; ``power`` is
     unitless.  An all-zero input keeps all-zero power, the one case where
-    no normalization is possible.
+    no normalization is possible.  Both are finite, non-empty,
+    one-dimensional float arrays of one length, stored as given when they
+    are float64.
     """
 
     frequencies: np.ndarray
     power: np.ndarray
+
+    def __post_init__(self):
+        _check_pair(self, "frequencies", "power")
 
 
 def psd(series: TimeSeries) -> PsdEstimate:

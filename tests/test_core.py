@@ -214,6 +214,18 @@ def _traj(p, q, angle=1.0):
                  "values must be one-dimensional", id="curve-2d"),
     pytest.param(lambda: c.MsdCurve(None, np.ones(3)), "c must be a real number, got None",
                  id="curve-c-none"),
+    # a one-element power broadcast, and was written, beside every frequency
+    pytest.param(lambda: c.PsdEstimate(np.array([1.0, 2.0]), np.array([1.0])),
+                 "frequencies and power must have one length, got 2 and 1", id="psd-lengths"),
+    # a raw IndexError inside the writer
+    pytest.param(lambda: c.PsdEstimate(np.ones((2, 2)), np.ones((2, 2))),
+                 "frequencies must be one-dimensional", id="psd-2d"),
+    # written as nan
+    pytest.param(lambda: c.PsdEstimate([math.nan, 1.0], [1.0, 0.5]),
+                 "frequencies must be finite", id="psd-nan-frequency"),
+    pytest.param(lambda: c.PsdEstimate([0.0, 1.0], [1.0, math.inf]), "power must be finite",
+                 id="psd-inf-power"),
+    pytest.param(lambda: c.PsdEstimate([], []), "frequencies must be non-empty", id="psd-empty"),
 ])
 def test_trajectory_and_curve_refuse_what_they_cannot_hold(call, error):
     with pytest.raises(c.InvalidParameterError) as info:

@@ -63,8 +63,9 @@ def test_integers_around_two_to_the_53():
     near = np.arange(2**53 - 3000, 2**53 + 3000, dtype=np.int64)
     floats = near.astype(np.float64)
     assert writer_text(floats, -floats) == repr_text(floats, -floats)
-    below = near[near < 2**53]
-    assert writer_text(below, -below) == repr_text(below, -below)
+    assert writer_text(near, -near) == repr_text(near, -near)
+    top = np.arange(2**63 - 3000, 2**63 - 1, dtype=np.int64) + 1  # up to the largest int64
+    assert writer_text(top, -top) == repr_text(top, -top)
 
 
 def test_a_million_random_bit_patterns():
@@ -92,7 +93,8 @@ def test_zero_row_table(tmp_path):
     assert writer_text(np.empty(0), np.empty(0, dtype=int)) == ""
 
 
-@pytest.mark.parametrize("value", [2**53, -2**53, 2**63 - 1, -2**63])
-def test_an_integer_of_two_to_the_53_or_more_is_refused(value):
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        writer_text(np.array([1, value]))
+@pytest.mark.parametrize("value", [2**53, -2**53, 2**63 - 1, -2**63, 2**64 - 1])
+def test_an_integer_of_two_to_the_53_or_more_is_written_as_repr_writes_it(value):
+    column = np.array([1, value], dtype=np.uint64 if value >= 2**63 else np.int64)
+    assert writer_text(column) == f"1\n{value!r}\n"
+    assert writer_text(column, column.astype(float)) == repr_text(column, column.astype(float))

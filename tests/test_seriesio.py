@@ -3,6 +3,7 @@
 import json
 import math
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -48,6 +49,32 @@ def test_load_single_column_explicit_fallback_rate(tmp_path):
     for bad in (0.0, "5", True):
         with pytest.raises(c.InvalidParameterError):
             c.SeriesFile(path, sample_rate=bad)
+
+
+@pytest.mark.parametrize("rate", [np.float64(100.0), np.float32(0.1), 250, Fraction(1000, 3)])
+def test_a_rate_of_any_real_type_is_stored_as_a_float_and_reads_back(tmp_path, rate):
+    # a numpy rate was written as '# sample_rate=np.float64(100.0)', which load refused
+    series = c.TimeSeries(np.arange(5.0), sample_rate=rate)
+    file = c.SeriesFile(tmp_path / "x.txt", sample_rate=rate)
+    spec = c.GeneratorSpec("sine", num_samples=5, sample_rate=rate, freq=0.01)
+    for stored in (series.sample_rate, file.sample_rate, spec.sample_rate,
+                   c.make_series(spec).sample_rate):
+        assert type(stored) is float and stored == float(rate)
+    if not isinstance(rate, Fraction):  # numpy's sin takes no Fraction times
+        assert type(c.gen_sine(0.01, rate, 5).sample_rate) is float
+    c.write_series(series, file.path)
+    assert file.path.read_text().startswith(f"# sample_rate={float(rate)!r}\n")
+    assert c.load_series(file).sample_rate == float(rate)
+
+
+@pytest.mark.parametrize("rate", [10**400, Fraction(10**400), -(10**400), Fraction(1, 10**400)])
+def test_a_rate_that_no_float_holds_is_refused(rate):
+    # 10**400 was taken, and written as a header that read back as inf
+    for make in (lambda: c.TimeSeries([1.0], sample_rate=rate),
+                 lambda: c.SeriesFile("x.txt", sample_rate=rate),
+                 lambda: c.GeneratorSpec("sine", sample_rate=rate)):
+        with pytest.raises(c.InvalidParameterError, match="must be finite and positive"):
+            make()
 
 
 @pytest.mark.parametrize("rate", ["0", "-5"])

@@ -243,6 +243,12 @@ def test_henon_divergence_detected():
         c.gen_henon(a=5.0, b=0.3, x0=1.0, y0=0.0, total=1000, keep=10)
 
 
+def test_divergence_is_a_parameter_error():
+    # the map's coefficients or start are out of its domain, as AliasingError's tone is
+    assert issubclass(c.DivergenceError, c.InvalidParameterError)
+    assert issubclass(c.AliasingError, c.InvalidParameterError)
+
+
 def test_henon_validates_keep():
     with pytest.raises(c.InvalidParameterError):
         c.gen_henon(total=10, keep=11)

@@ -293,6 +293,19 @@ CASES: dict[str, list[list[str]]] = {
         ["cli", "psd", "saw.csv"],
         ["cli", "generate", "--kind", "uniform_random", "--n", "100000", "--seed", "5",
          "--out", "noise.csv"],
+        # a numpy sample rate written and read back
+        ["py", "import chaos01 as c, numpy as np\n"
+               "rate = np.float64(100.0)\n"
+               "c.write_series(c.TimeSeries(np.arange(5.0), sample_rate=rate), 'r.txt')\n"
+               "c.write_series(c.gen_sine(10.0, np.float64(1000.0), 50), 'g.txt')\n"
+               "print(c.load_series('r.txt').sample_rate, c.load_series('g.txt').sample_rate)"],
+        # a config of numpy numbers, exported
+        ["py", "import chaos01 as c, numpy as np; c.export_result(c.run_test(c.gen_sine(50.0, "
+               "1000.0, 1200), c.TestConfig(num_c=np.int64(10), seed=np.int64(3), "
+               "trim_fraction=np.float32(0.25))), 'np.json')"],
+        # a spectrum whose power is shorter than its frequencies, exported
+        ["py", "import chaos01 as c, numpy as np; "
+               "c.export_psd(c.PsdEstimate(np.array([1.0, 2.0]), np.array([1.0])), 'short.psd')"],
     ],
     "magnitude": [["py", _MAGNITUDE_FILES],
                   *(["cli", command, name] for name in ("big.txt", "tiny.txt")
