@@ -110,12 +110,10 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        samples = _check_array("samples", self.samples)
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
         # Freeze a view, not the caller's own array, and copy nothing.
-        samples = samples.view()
+        samples = _check_array("samples", self.samples).view()
         samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        _store(self, samples=samples, sample_rate=_check_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -125,9 +123,9 @@ class TimeSeries:
 class TranslationTrajectory:
     """Planar trajectory ``(p, q)`` built from one series at one frequency.
 
-    ``c`` is a real number, and ``p`` and ``q`` are finite, non-empty,
-    one-dimensional float arrays of one length, stored as given when they
-    are float64.
+    ``c`` is a real number, stored as a float, and ``p`` and ``q`` are
+    finite, non-empty, one-dimensional float arrays of one length, stored as
+    given when they are float64.
     """
 
     c: float
@@ -135,7 +133,7 @@ class TranslationTrajectory:
     q: np.ndarray
 
     def __post_init__(self):
-        _check_real("c", self.c)
+        _store(self, c=_check_real("c", self.c))
         _check_pair(self, "p", "q")
 
     def __len__(self) -> int:
@@ -146,17 +144,17 @@ class TranslationTrajectory:
 class MsdCurve:
     """Mean square displacement ``M(n)`` for lags ``n = 1 .. n_max``.
 
-    ``c`` is a real number and ``values`` a non-empty, one-dimensional float
-    array.  Values that are not finite are kept, for the growth-rate
-    estimators to judge.
+    ``c`` is a real number, stored as a float, and ``values`` a non-empty,
+    one-dimensional float array.  Values that are not finite are kept, for
+    the growth-rate estimators to judge.
     """
 
     c: float
     values: np.ndarray
 
     def __post_init__(self):
-        _check_real("c", self.c)
-        object.__setattr__(self, "values", _check_array("values", self.values, finite=False))
+        _store(self, c=_check_real("c", self.c),
+               values=_check_array("values", self.values, finite=False))
 
     @property
     def n_max(self) -> int:
@@ -184,7 +182,7 @@ class ClassificationBands:
 
     A statistic below ``regular_max`` is regular, below ``quasi_periodic_max``
     quasi-periodic, below ``aperiodic_max`` aperiodic, and anything at or
-    above that is chaotic or stochastic.
+    above that is chaotic or stochastic.  Each edge is stored as a float.
     """
 
     regular_max: float = 0.2
@@ -192,8 +190,8 @@ class ClassificationBands:
     aperiodic_max: float = 0.8
 
     def __post_init__(self):
-        for name in ("regular_max", "quasi_periodic_max", "aperiodic_max"):
-            _check_real(name, getattr(self, name))
+        names = ("regular_max", "quasi_periodic_max", "aperiodic_max")
+        _store(self, **{name: _check_real(name, getattr(self, name)) for name in names})
         if not 0.0 < self.regular_max < self.quasi_periodic_max < self.aperiodic_max:
             raise InvalidParameterError("band edges must be positive and strictly increasing")
 
@@ -204,7 +202,8 @@ class TestConfig:
 
     The defaults reproduce the reference setup: 100 random probe
     frequencies on the open interval (0, 2*pi), correlation-based growth
-    rates, and a 25% trimmed mean of ``|K_c|``.
+    rates, and a 25% trimmed mean of ``|K_c|``.  Counts are stored as
+    ints and reals as floats.
     """
 
     num_c: int = 100
@@ -219,17 +218,23 @@ class TestConfig:
     bands: ClassificationBands = field(default_factory=ClassificationBands)
 
     def __post_init__(self):
-        _check_size("num_c", self.num_c, 1)
-        _check_count("seed", self.seed, 0)
-        _check_draw_range(self.c_low, self.c_high)
-        _check_trim_fraction(self.trim_fraction)
-        _check_n0_fraction(self.n0_fraction)
+        num_c, seed = _check_size("num_c", self.num_c, 1), _check_count("seed", self.seed, 0)
+        c_low, c_high = _check_draw_range(self.c_low, self.c_high)
+        _store(self, num_c=num_c, seed=seed, c_low=c_low, c_high=c_high,
+               trim_fraction=_check_trim_fraction(self.trim_fraction),
+               n0_fraction=_check_n0_fraction(self.n0_fraction))
         _check_bands(self.bands)
         # Accept plain strings for the enum fields so configs parsed from
         # JSON or CLI flags do not need pre-conversion.
-        for name, kind in (("method", Method), ("aggregator", Aggregator),
-                           ("msd_variant", MsdVariant)):
-            object.__setattr__(self, name, _check_name(kind, getattr(self, name), name))
+        _store(self, **{name: _check_name(kind, getattr(self, name), name) for name, kind in (
+            ("method", Method), ("aggregator", Aggregator), ("msd_variant", MsdVariant))})
+
+
+def _store(holder, **values) -> None:
+    """Set each of ``values``, what a check returned, on the frozen ``holder``:
+    the one way a type stores what it checked."""
+    for name, value in values.items():
+        object.__setattr__(holder, name, value)
 
 
 def _check_name(kind: type[Enum], value, name: str) -> Enum:
@@ -242,24 +247,34 @@ def _check_name(kind: type[Enum], value, name: str) -> Enum:
             f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Raise unless ``value`` is an integer, not a bool, of at least ``low``."""
+def _check_count(name: str, value, low: int) -> int:
+    """``value`` as an int; raise unless it is an integer, not a bool, of at
+    least ``low``.  A count is stored as this int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise InvalidParameterError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
 
 
-def _check_size(name: str, value, low: int) -> None:
+def _check_size(name: str, value, low: int) -> int:
     """The one count-ceiling rule: a count that sizes an array is also
     below ``_MAX_COUNT``.  Seeds are counts but not sizes."""
-    _check_count(name, value, low)
-    if value >= _MAX_COUNT:
+    count = _check_count(name, value, low)
+    if count >= _MAX_COUNT:
         raise InvalidParameterError(f"{name} must be below 2**53, got {value!r}")
+    return count
 
 
-def _check_real(name: str, value) -> None:
-    """Raise unless ``value`` is a real number, not a bool."""
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; raise unless it is a real number, not a bool.  A
+    real is stored as this float.  One beyond the float range, such as
+    ``10**400``, becomes an infinity of its sign, for the owner's range check
+    to refuse."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return math.inf if value > 0 else -math.inf
 
 
 def _check_array(name: str, value, finite: bool = True) -> np.ndarray:
@@ -282,8 +297,7 @@ def _check_pair(holder, first: str, second: str) -> None:
     if a.size != b.size:
         raise InvalidParameterError(
             f"{first} and {second} must have one length, got {a.size} and {b.size}")
-    object.__setattr__(holder, first, a)
-    object.__setattr__(holder, second, b)
+    _store(holder, **{first: a, second: b})
 
 
 def _check_angle(name: str, value) -> None:
@@ -293,26 +307,29 @@ def _check_angle(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must lie strictly inside (0, 2*pi)")
 
 
-def _check_draw_range(c_low, c_high) -> None:
-    """The one rule for the range the probe angles are drawn from."""
-    _check_real("c_low", c_low)
-    _check_real("c_high", c_high)
+def _check_draw_range(c_low, c_high) -> tuple[float, float]:
+    """The one rule for the range the probe angles are drawn from: both ends
+    as floats."""
+    c_low, c_high = _check_real("c_low", c_low), _check_real("c_high", c_high)
     if not (0.0 <= c_low < c_high <= TWO_PI and c_low < math.nextafter(c_high, 0.0)):
         raise InvalidParameterError("need 0 <= c_low < c_high <= 2*pi with a float between")
+    return c_low, c_high
 
 
-def _check_trim_fraction(value) -> None:
-    """The one trim rule: a real number in [0, 0.5)."""
-    _check_real("trim_fraction", value)
+def _check_trim_fraction(value) -> float:
+    """The one trim rule: a real number in [0, 0.5), as a float."""
+    value = _check_real("trim_fraction", value)
     if not 0.0 <= value < 0.5:
         raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
+    return value
 
 
-def _check_n0_fraction(value) -> None:
-    """The one lag-window rule: a real number in (0, 0.5]."""
-    _check_real("n0_fraction", value)
+def _check_n0_fraction(value) -> float:
+    """The one lag-window rule: a real number in (0, 0.5], as a float."""
+    value = _check_real("n0_fraction", value)
     if not 0.0 < value <= 0.5:
         raise InvalidParameterError("n0_fraction must lie in (0, 0.5]")
+    return value
 
 
 def _check_bands(bands) -> None:
@@ -322,15 +339,11 @@ def _check_bands(bands) -> None:
 
 
 def _check_rate(rate) -> float | None:
-    """The one sample-rate rule: None, or a real number that a float holds as a
-    finite and positive value, returned as that float."""
+    """The one sample-rate rule: None, or ``_check_real``'s float, finite and
+    positive."""
     if rate is None:
         return None
-    _check_real("sample_rate", rate)
-    try:
-        value = float(rate)
-    except OverflowError:  # an int or Fraction beyond the float range
-        value = math.inf
+    value = _check_real("sample_rate", rate)
     if not 0 < value < math.inf:
         raise InvalidParameterError(f"sample_rate must be finite and positive, got {rate!r}")
     return value
@@ -437,8 +450,7 @@ def msd(traj: TranslationTrajectory, n0: int) -> MsdCurve:
     ``n0`` must satisfy ``1 <= n0 < N``: the curve is only meaningful on a
     prefix of the available lags.
     """
-    _check_count("n0", n0, 1)
-    n0, n_len = int(n0), len(traj)
+    n0, n_len = _check_count("n0", n0, 1), len(traj)
     if n0 >= n_len:
         raise InvalidParameterError("n0 must satisfy 1 <= n0 < len(trajectory)")
     steps = np.diff([traj.p + 1j * traj.q], prepend=0.0)
@@ -588,11 +600,15 @@ def oscillation_correction(c, n0: int, series_mean: float) -> np.ndarray:
     Subtracting this from the plain curve yields the corrected variant; the
     result may be negative, which the growth-rate estimators tolerate.  An
     array of frequencies ``c`` gives one row per frequency.  Each ``c`` lies
-    strictly inside (0, 2*pi) and ``n0`` is an integer of at least 1.
+    strictly inside (0, 2*pi), ``n0`` is an integer of at least 1 and
+    ``series_mean`` a finite real number.
     """
-    _check_count("n0", n0, 1)
+    n0 = _check_count("n0", n0, 1)
     c = np.asarray(c, dtype=float)
     _check_angle("c", c)
+    series_mean = _check_real("series_mean", series_mean)
+    if not math.isfinite(series_mean):
+        raise InvalidParameterError(f"series_mean must be finite, got {series_mean!r}")
     c = c[..., None]
     n = np.arange(1, n0 + 1, dtype=float)
     return series_mean * series_mean * (1.0 - np.cos(n * c)) / (1.0 - np.cos(c))
@@ -658,7 +674,7 @@ def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Ag
         If ``aggregator`` or ``trim_fraction`` breaks ``TestConfig``'s rule.
     """
     aggregator = _check_name(Aggregator, aggregator, "aggregator")
-    _check_trim_fraction(trim_fraction)
+    trim_fraction = _check_trim_fraction(trim_fraction)
     usable = np.array([abs(r.k) for r in rates if not r.degenerate])
     if usable.size == 0:
         raise AllDegenerateError("no usable growth rate at any probed frequency")
@@ -674,6 +690,7 @@ def aggregate_k(rates: list[GrowthRate] | tuple[GrowthRate, ...], aggregator: Ag
 
 def classify(k_m: float, bands: ClassificationBands | None = None) -> Regime:
     """Map an aggregated growth rate onto a regularity regime."""
+    k_m = _check_real("k_m", k_m)
     if not k_m >= 0.0:  # NaN too
         raise InvalidParameterError(f"k_m must be non-negative, got {k_m!r}")
     bands = ClassificationBands() if bands is None else bands
@@ -689,9 +706,8 @@ def classify(k_m: float, bands: ClassificationBands | None = None) -> Regime:
 
 def lag_window(num_samples: int, n0_fraction: float) -> int:
     """Largest displacement lag used for a series of the given length."""
-    _check_count("num_samples", num_samples, 1)
-    _check_n0_fraction(n0_fraction)
-    return max(2, math.floor(n0_fraction * num_samples))
+    num_samples = _check_size("num_samples", num_samples, 1)
+    return max(2, math.floor(_check_n0_fraction(n0_fraction) * num_samples))
 
 
 def usable_cpus() -> int:

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .core import (TestResult, TimeSeries, TranslationTrajectory, aggregate_k, _check_count,
-                   _check_name, _check_rate, _keep_freed_blocks)
+                   _check_name, _check_rate, _keep_freed_blocks, _store)
 from .errors import (
     MissingSampleRateError,
     NonUniformSamplingError,
@@ -80,8 +80,8 @@ class SeriesFile:
     sample_rate: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "format", _check_name(SeriesFormat, self.format, "format"))
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
+        _store(self, format=_check_name(SeriesFormat, self.format, "format"),
+               sample_rate=_check_rate(self.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class WindowPlan:
     stride: int
 
     def __post_init__(self):
-        _check_count("window_len", self.window_len, 1)
-        _check_count("stride", self.stride, 1)
+        _store(self, window_len=_check_count("window_len", self.window_len, 1),
+               stride=_check_count("stride", self.stride, 1))
 
 
 def _parse_float(text: str, line: int) -> float:
@@ -387,15 +387,7 @@ def export_result(result: TestResult, path: str | Path) -> None:
         "config": dataclasses.asdict(config),
         "version": __version__,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, default=_json_number) + "\n")
-
-
-def _json_number(value):
-    """A numpy number, which a config may hold, as the Python number it holds;
-    ``json.dumps`` calls this for each value it cannot write."""
-    if isinstance(value, np.number):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def export_trajectory(traj: TranslationTrajectory, path: str | Path) -> None:

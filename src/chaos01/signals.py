@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (TimeSeries, _MAX_COUNT, _check_count, _check_name, _check_rate, _check_real,
-                   _check_size)
+                   _check_size, _store)
 from .errors import AliasingError, DivergenceError, InvalidParameterError
 
 #: Iterates beyond this magnitude are treated as having left the attractor.
@@ -54,7 +54,8 @@ class GeneratorSpec:
 
     Only the fields relevant to ``kind`` are consulted: ``freq`` drives the
     sine and sawtooth tones, ``f0``/``f1`` the chirp sweep, the map
-    coefficients the Henon orbit, and ``seed`` the noise draw.
+    coefficients the Henon orbit, and ``seed`` the noise draw.  Counts are
+    stored as ints and reals as floats.
     """
 
     kind: GeneratorKind
@@ -71,14 +72,13 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", _check_name(GeneratorKind, self.kind, "kind"))
-        _check_size("num_samples", self.num_samples, 1)
-        _check_size("total", self.total, 1)
-        _check_count("seed", self.seed, 0)
-        for name in ("freq", "f0", "f1", "a", "b", "x0", "y0"):
-            _check_real(name, getattr(self, name))
+        _store(self, kind=_check_name(GeneratorKind, self.kind, "kind"),
+               num_samples=_check_size("num_samples", self.num_samples, 1),
+               total=_check_size("total", self.total, 1), seed=_check_count("seed", self.seed, 0),
+               **{name: _check_real(name, getattr(self, name))
+                  for name in ("freq", "f0", "f1", "a", "b", "x0", "y0")})
         rate = _KINDS[self.kind][1] if self.sample_rate is None else self.sample_rate
-        object.__setattr__(self, "sample_rate", _check_rate(rate))
+        _store(self, sample_rate=_check_rate(rate))
 
 
 #: Per kind, the spec fields that name its samples, as ``generate`` prints
@@ -113,20 +113,21 @@ def _describe(spec: GeneratorSpec) -> str:
     return _KINDS[spec.kind][0].format_map(vars(spec))
 
 
-def _check_tone(f: float, fs: float) -> None:
-    """The one aliasing rule: a tone at ``f`` needs ``fs`` above ``2 * f``."""
-    _check_real("f", f)
-    _check_real("fs", fs)
+def _check_tone(f: float, fs: float) -> tuple[float, float]:
+    """The one aliasing rule: a tone at ``f`` needs ``fs`` above ``2 * f``.
+    Returns both as floats."""
+    f, fs = _check_real("f", f), _check_real("fs", fs)
     if not f > 0 or not fs > 0:
         raise InvalidParameterError("f and fs must be positive")
     if f >= fs / 2:
         raise AliasingError(f"tone at {f} Hz needs a sample rate above {2 * f} Hz, got {fs}")
+    return f, fs
 
 
 def gen_sine(f: float = 100.0, fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     """Pure tone sin(2*pi*f*t)."""
-    _check_tone(f, fs)
-    _check_size("n", n, 1)
+    f, fs = _check_tone(f, fs)
+    n = _check_size("n", n, 1)
     t = np.arange(n) / fs
     return TimeSeries(np.sin(2.0 * math.pi * f * t), sample_rate=fs, label="sine")
 
@@ -141,9 +142,8 @@ def gen_sawtooth(f: float = 100.0, fs: float = _DEFAULT_RATE, n: int = 5000) -> 
     2**63 samples or more (an infinite one included) takes the direct form,
     since numpy's integers cannot hold it.
     """
-    _check_tone(f, fs)
-    _check_size("n", n, 1)
-    j = np.arange(n)
+    f, fs = _check_tone(f, fs)
+    j = np.arange(_check_size("n", n, 1))
     period = fs / f
     whole = round(period) if period < 2.0**63 else 0
     if whole >= 1 and whole * f == fs:
@@ -160,9 +160,8 @@ def gen_quasiperiodic(fs: float = _DEFAULT_RATE, n: int = 5000) -> TimeSeries:
     decimal approximation) means the waveform never exactly repeats.
     """
     f_hi = 100.0 * math.sqrt(2.0)
-    _check_tone(f_hi, fs)
-    _check_size("n", n, 1)
-    t = np.arange(n) / fs
+    fs = _check_tone(f_hi, fs)[1]
+    t = np.arange(_check_size("n", n, 1)) / fs
     two_pi_t = 2.0 * math.pi * t
     samples = np.cos(100.0 * two_pi_t) + np.cos(f_hi * two_pi_t)
     return TimeSeries(samples, sample_rate=fs, label="quasi_periodic")
@@ -176,8 +175,8 @@ def gen_chirp(f0: float = 0.0, f1: float = 100.0, sweep_time: float = 1.0,
     instantaneous frequency reaches f1 at the sweep end, so fs must exceed
     2*f1 to keep the tail of the sweep below Nyquist.
     """
-    for name, value in (("f0", f0), ("f1", f1), ("sweep_time", sweep_time), ("fs", fs)):
-        _check_real(name, value)
+    f0, f1, sweep_time, fs = (_check_real(name, value) for name, value in (
+        ("f0", f0), ("f1", f1), ("sweep_time", sweep_time), ("fs", fs)))
     if not f1 > f0 >= 0.0:
         raise InvalidParameterError("need f1 > f0 >= 0")
     if not sweep_time > 0:
@@ -210,11 +209,10 @@ def gen_henon(a: float = 1.4, b: float = 0.3, x0: float = 0.03, y0: float = 0.03
         If an iterate exceeds 1e6 in magnitude, which signals parameters
         or initial conditions outside the attractor basin.
     """
-    for name, value in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
-        _check_real(name, value)
-    _check_size("keep", keep, 1)
-    _check_size("total", total, keep)
-    x, y = float(x0), float(y0)
+    a, b, x, y = (_check_real(name, value) for name, value in
+                  (("a", a), ("b", b), ("x0", x0), ("y0", y0)))
+    keep = _check_size("keep", keep, 1)
+    total = _check_size("total", total, keep)
     out = np.empty(total, dtype=float)
     for i in range(total):
         x, y = 1.0 - a * x * x + y, b * x
@@ -230,7 +228,6 @@ def gen_uniform_random(n: int = 5000, seed: int = 0) -> TimeSeries:
     Uses the same portable seeded generator as the frequency draw in the
     test driver, so a seed pins the sequence across platforms.
     """
-    _check_size("n", n, 1)
-    _check_count("seed", seed, 0)
+    n, seed = _check_size("n", n, 1), _check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return TimeSeries(rng.random(n), sample_rate=None, label="uniform_random")

@@ -7,6 +7,7 @@ import math
 import os
 import stat
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -1077,12 +1078,16 @@ def test_undecodable_file_exits_4_or_becomes_error_row(runner, tmp_path):
     c.TestConfig(num_c=6, c_low=0.5, c_high=5.0, method="regression", aggregator="median",
                  trim_fraction=0.1, n0_fraction=0.2, seed=3, msd_variant="corrected",
                  bands=c.ClassificationBands(0.1, 0.3, 0.9)),
-    # numpy numbers, which json cannot write, are written as the numbers they hold
+    # numpy numbers, which json cannot write, are stored as the numbers they hold
     c.TestConfig(num_c=np.int64(10)),
     c.TestConfig(seed=np.int64(3)),
     c.TestConfig(trim_fraction=np.float32(0.25)),
     c.TestConfig(c_low=np.int32(1), n0_fraction=np.float64(0.2),
                  bands=c.ClassificationBands(np.float32(0.125), 0.5, np.uint8(2))),
+    # a Fraction, which json cannot write either, and an integer are stored as floats
+    c.TestConfig(trim_fraction=Fraction(1, 4)),
+    c.TestConfig(bands=c.ClassificationBands(regular_max=Fraction(1, 5))),
+    c.TestConfig(c_low=1),
 ])
 def test_result_config_block_reads_back_as_manifest_config(fuzz_dir, config):
     _check_config_block_reads_back(fuzz_dir, config)
@@ -1104,7 +1109,7 @@ def _check_config_block_reads_back(fuzz_dir, config):
 
 
 def _real(low, high):
-    """Integers and floats in [low, high], since a float field keeps an integer as given."""
+    """Integers and floats in [low, high]; a float field stores either as a float."""
     return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
 
 

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -656,6 +657,13 @@ def test_classify_rejects_nan():
         c.classify(math.nan)
 
 
+@pytest.mark.parametrize("k_m", ["x", None, True])
+def test_classify_refuses_a_k_m_that_is_no_real(k_m):
+    # "x" and None raised a raw TypeError, and True was labelled chaotic
+    with pytest.raises(c.InvalidParameterError, match="^k_m must be a real number, got "):
+        c.classify(k_m)
+
+
 def test_classify_with_custom_bands():
     bands = c.ClassificationBands(regular_max=0.3, quasi_periodic_max=0.6, aperiodic_max=0.9)
     assert c.classify(0.25, bands) is c.Regime.REGULAR
@@ -717,6 +725,30 @@ def test_config_coerces_enum_strings():
     assert config.msd_variant is c.MsdVariant.CORRECTED
 
 
+@pytest.mark.parametrize("count, real", [
+    (int, Fraction), (np.int64, np.float32), (np.uint8, np.float64), (np.int32, np.int64),
+    (int, int)])
+def test_every_count_is_stored_as_an_int_and_every_real_as_a_float(count, real):
+    # a Fraction or numpy number was stored as given, for every later use to meet
+    config = c.TestConfig(num_c=count(3), seed=count(2), c_low=real(1), c_high=real(6),
+                          trim_fraction=real(0), n0_fraction=real(1) / 2,
+                          bands=c.ClassificationBands(real(1), real(2), real(3)))
+    plan = c.WindowPlan(count(4), count(2))
+    spec = c.GeneratorSpec("henon", num_samples=count(5), total=count(7), seed=count(1),
+                           freq=real(1), f0=real(0), f1=real(2), a=real(1), b=real(0),
+                           x0=real(0), y0=real(0), sample_rate=real(100))
+    reals = ("freq", "f0", "f1", "a", "b", "x0", "y0", "sample_rate")
+    counts = [config.num_c, config.seed, plan.window_len, plan.stride, spec.num_samples,
+              spec.total, spec.seed]
+    floats = [config.c_low, config.c_high, config.trim_fraction, config.n0_fraction,
+              *vars(config.bands).values(), *(getattr(spec, name) for name in reals),
+              c.TranslationTrajectory(real(1), [0.0], [0.0]).c, c.MsdCurve(real(1), [1.0]).c]
+    assert [type(value) for value in counts] == [int] * 7
+    assert counts == [3, 2, 4, 2, 5, 7, 1]
+    assert [type(value) for value in floats] == [float] * 17
+    assert floats == [1, 6, 0, 0.5, 1, 2, 3, 1, 0, 2, 1, 0, 0, 0, 100, 1, 1]
+
+
 def test_lag_window_floor_and_minimum():
     assert c.lag_window(5000, 0.28) == 1400
     assert c.lag_window(5000, 0.1) == 500
@@ -737,6 +769,14 @@ def test_lag_window_refuses_an_n0_fraction_as_the_config_does(fraction):
 def test_lag_window_refuses_a_sample_count_that_is_no_count(num_samples):
     with pytest.raises(c.InvalidParameterError,
                        match=r"^num_samples must be an integer of at least 1, got "):
+        c.lag_window(num_samples, 0.28)
+
+
+@pytest.mark.parametrize("num_samples", [pytest.param(10**400, id="10**400"),
+                                         pytest.param(2**53, id="2**53")])
+def test_lag_window_refuses_a_sample_count_beyond_the_count_ceiling(num_samples):
+    # 10**400 raised a raw OverflowError
+    with pytest.raises(c.InvalidParameterError, match=r"^num_samples must be below 2\*\*53, got "):
         c.lag_window(num_samples, 0.28)
 
 
@@ -864,21 +904,34 @@ def test_oscillation_correction_closed_form():
     assert np.allclose(vals, expected, rtol=1e-14)
 
 
-@pytest.mark.parametrize("angle, n0, error", [
+@pytest.mark.parametrize("angle, n0, mean, error", [
     # [nan nan nan] with a RuntimeWarning, a raw TypeError, an empty array
-    pytest.param(0.0, 3, "c must lie strictly inside (0, 2*pi)", id="zero-angle"),
-    pytest.param(c.TWO_PI, 3, "c must lie strictly inside (0, 2*pi)", id="two-pi"),
-    pytest.param(math.nan, 3, "c must lie strictly inside (0, 2*pi)", id="nan-angle"),
-    pytest.param(np.array([1.0, 7.0]), 3, "c must lie strictly inside (0, 2*pi)",
+    pytest.param(0.0, 3, 1.0, "c must lie strictly inside (0, 2*pi)", id="zero-angle"),
+    pytest.param(c.TWO_PI, 3, 1.0, "c must lie strictly inside (0, 2*pi)", id="two-pi"),
+    pytest.param(math.nan, 3, 1.0, "c must lie strictly inside (0, 2*pi)", id="nan-angle"),
+    pytest.param(np.array([1.0, 7.0]), 3, 1.0, "c must lie strictly inside (0, 2*pi)",
                  id="one-array-entry"),
-    pytest.param(1.0, "3", "n0 must be an integer of at least 1, got '3'", id="n0-text"),
-    pytest.param(1.0, 0, "n0 must be an integer of at least 1, got 0", id="n0-zero"),
-    pytest.param(1.0, 2.0, "n0 must be an integer of at least 1, got 2.0", id="n0-float"),
+    pytest.param(1.0, "3", 1.0, "n0 must be an integer of at least 1, got '3'", id="n0-text"),
+    pytest.param(1.0, 0, 1.0, "n0 must be an integer of at least 1, got 0", id="n0-zero"),
+    pytest.param(1.0, 2.0, 1.0, "n0 must be an integer of at least 1, got 2.0", id="n0-float"),
+    # a raw TypeError, and a raw OverflowError
+    pytest.param(1.0, 3, "x", "series_mean must be a real number, got 'x'", id="mean-text"),
+    pytest.param(1.0, 3, None, "series_mean must be a real number, got None", id="mean-none"),
+    pytest.param(1.0, 3, 10**400, "series_mean must be finite, got inf", id="mean-huge"),
+    pytest.param(1.0, 3, math.nan, "series_mean must be finite, got nan", id="mean-nan"),
 ])
-def test_oscillation_correction_refuses_what_the_config_refuses(angle, n0, error):
+def test_oscillation_correction_refuses_what_the_config_refuses(angle, n0, mean, error):
     with pytest.raises(c.InvalidParameterError) as info:
-        c.oscillation_correction(angle, n0, 1.0)
+        c.oscillation_correction(angle, n0, mean)
     assert str(info.value) == error
+
+
+@pytest.mark.parametrize("mean", [Fraction(1, 2), np.float32(0.5), np.int64(2), 2])
+def test_oscillation_correction_of_any_real_mean_is_float64(mean):
+    # a Fraction mean gave an object array
+    vals = c.oscillation_correction(1.2, 5, mean)
+    assert vals.dtype == np.float64
+    assert np.array_equal(vals, c.oscillation_correction(1.2, 5, float(mean)))
 
 
 def test_result_k_m_matches_recomputed_aggregate():

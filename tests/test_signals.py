@@ -1,6 +1,7 @@
 """Tests for the reference signal generators."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,6 +317,55 @@ def test_uniform_random_seed_changes_sequence():
 def test_generator_float_arguments_must_be_real_numbers(generator, argument, bad):
     with pytest.raises(c.InvalidParameterError, match=f"^{argument} must be a real number"):
         getattr(c, generator)(**{argument: bad})
+
+
+#: Per generator, its real arguments and then its counts: whole numbers, which
+#: every real type holds, and dyadic fractions, which Fraction and float32 hold.
+_WHOLE_CALLS = [(c.gen_sine, (10, 1000), (50,)), (c.gen_sawtooth, (10, 1000), (50,)),
+                (c.gen_quasiperiodic, (1000,), (50,)), (c.gen_chirp, (0, 10, 1, 100), ()),
+                (c.gen_henon, (1, 0, 0, 0), (20, 10))]
+_DYADIC_CALLS = [
+    (c.gen_sine, (Fraction(21, 2), Fraction(2001, 2)), (50,)),
+    (c.gen_sawtooth, (Fraction(3, 8), Fraction(5, 2)), (50,)),
+    (c.gen_quasiperiodic, (Fraction(2001, 4),), (50,)),
+    (c.gen_chirp, (Fraction(1, 4), 10, Fraction(1, 2), Fraction(801, 8)), ()),
+    (c.gen_henon, (Fraction(11, 8), Fraction(1, 4), Fraction(1, 32), Fraction(1, 32)), (200, 100)),
+]
+
+
+@pytest.mark.parametrize("make, reals, counts, real", [
+    pytest.param(make, reals, counts, real, id=f"{make.__name__}-{real.__name__}-{reals[-1]}")
+    for calls, types in ((_WHOLE_CALLS, (Fraction, np.float32, np.int64, int)),
+                         (_DYADIC_CALLS, (Fraction, np.float32)))
+    for make, reals, counts in calls for real in types])
+def test_a_generator_takes_any_real_type_as_the_float_it_holds(make, reals, counts, real):
+    # a Fraction rate made an object array, which numpy's sin refused
+    typed = [real(value) for value in reals]
+    if real is np.int64:
+        counts = [np.int64(count) for count in counts]
+    series = make(*typed, *counts)
+    expected = make(*map(float, typed), *counts)
+    assert series.samples.dtype == np.float64
+    assert np.array_equal(series.samples, expected.samples)
+    assert type(series.sample_rate) is type(expected.sample_rate)
+    assert series.sample_rate == expected.sample_rate
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: c.gen_sine(10.0, 10**400, 5), c.InvalidParameterError,
+                 "sample_rate must be finite and positive, got inf", id="sine"),
+    pytest.param(lambda: c.gen_sawtooth(10.0, 10**400, 5), c.InvalidParameterError,
+                 "sample_rate must be finite and positive, got inf", id="sawtooth"),
+    pytest.param(lambda: c.gen_chirp(0, 10, 10**400, 1000.0), c.InvalidParameterError,
+                 "sweep_time * fs must be below 2**53 samples, got inf", id="chirp"),
+    pytest.param(lambda: c.gen_henon(a=10**400, total=3, keep=2), c.DivergenceError,
+                 "orbit diverged at iterate 1", id="henon"),
+])
+def test_a_real_beyond_the_float_range_is_refused_by_its_range(make, error, message):
+    # each raised a raw OverflowError
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_all_generators_satisfy_series_invariants(sine_series, sawtooth_series, quasi_series,

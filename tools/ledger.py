@@ -58,6 +58,16 @@ def _stdin(name: str, pipe: bool, *words: str) -> list[str]:
                   f"'chaos01.cli', *{list(words)!r}], {feed}).returncode)"]
 
 
+def _outcome(what: str, code: str) -> list[str]:
+    """A step, first commented with ``what``, that runs the library ``code``
+    and, if it raises, prints the exception's type and message to stderr and
+    exits 1.  A traceback would name source line numbers, which move with any
+    edit of the module."""
+    body = "".join(f"    {line}\n" for line in code.splitlines())
+    return ["py", f"# {what}\nimport sys\ntry:\n{body}except Exception as exc:\n"
+                  f"    sys.exit(f'{{type(exc).__name__}}: {{exc}}')"]
+
+
 # The "reader" case's inputs, each one edit of tv.csv (time_value_csv) or
 # sc.txt (single_column): every line break str.splitlines counts, and bytes
 # or rows that leave a file to the line parser.  ``put`` replaces the line
@@ -299,13 +309,22 @@ CASES: dict[str, list[list[str]]] = {
                "c.write_series(c.TimeSeries(np.arange(5.0), sample_rate=rate), 'r.txt')\n"
                "c.write_series(c.gen_sine(10.0, np.float64(1000.0), 50), 'g.txt')\n"
                "print(c.load_series('r.txt').sample_rate, c.load_series('g.txt').sample_rate)"],
+        _outcome("a Fraction sample rate, generated, written and read back",
+                 "from fractions import Fraction\nimport chaos01 as c\n"
+                 "c.write_series(c.gen_sine(10.0, Fraction(1000), 50), 'frac.txt')\n"
+                 "print(c.load_series('frac.txt').sample_rate)"),
         # a config of numpy numbers, exported
         ["py", "import chaos01 as c, numpy as np; c.export_result(c.run_test(c.gen_sine(50.0, "
                "1000.0, 1200), c.TestConfig(num_c=np.int64(10), seed=np.int64(3), "
                "trim_fraction=np.float32(0.25))), 'np.json')"],
-        # a spectrum whose power is shorter than its frequencies, exported
-        ["py", "import chaos01 as c, numpy as np; "
-               "c.export_psd(c.PsdEstimate(np.array([1.0, 2.0]), np.array([1.0])), 'short.psd')"],
+        _outcome("a config of Fractions, exported",
+                 "from fractions import Fraction\nimport chaos01 as c\n"
+                 "c.export_result(c.run_test(c.gen_sine(50.0, 1000.0, 1200), c.TestConfig("
+                 "num_c=10, trim_fraction=Fraction(1, 4), "
+                 "bands=c.ClassificationBands(regular_max=Fraction(1, 5)))), 'frac.json')"),
+        _outcome("a spectrum whose power is shorter than its frequencies, exported",
+                 "import chaos01 as c, numpy as np\n"
+                 "c.export_psd(c.PsdEstimate(np.array([1.0, 2.0]), np.array([1.0])), 'short.psd')"),
     ],
     "magnitude": [["py", _MAGNITUDE_FILES],
                   *(["cli", command, name] for name in ("big.txt", "tiny.txt")
@@ -340,6 +359,8 @@ CASES: dict[str, list[list[str]]] = {
             ["cli", "batch", f"n{n}.json"])),
         # an output in a missing directory
         ["cli", "analyze", "a.csv", "--scatter", "nodir/k.csv"],
+        _outcome("a sample count beyond the float range, given to the library",
+                 "import chaos01 as c\nprint(c.lag_window(10**400, 0.28))"),
         _manifest("few.json", {"inputs": ["a.csv"], "config": {"num_c": 4}}),
         ["cli", "batch", "few.json", "--out", "nodir/s.csv"],
         # a manifest "out" that names a directory
@@ -438,7 +459,7 @@ def main(argv=None) -> int:
         if not entry["same"]:
             kind, *words = entry["step"]
             shown = words[-1] if kind == "kv" else " ".join(words)
-            print(f"  {entry['case']}: {shown[:80]}")
+            print(f"  {entry['case']}: {shown.splitlines()[0][:80]}")
             print(f"    exit {entry['base']['exit']} -> {entry['head']['exit']}; "
                   f"stderr {entry['stderr_last'][0]!r} -> {entry['stderr_last'][1]!r}")
             if "kvalues" in entry:
